@@ -122,16 +122,16 @@ class RunConfiguration:
         Nominal delivery latency of a traffic beacon, in seconds.
     stepper:
         Simulation stepping mode.  ``reference`` (default) is the
-        original per-vehicle lock-step loop; ``soa`` advances the fleet
-        through the batched structure-of-arrays physics core
-        (bit-identical to ``reference``, including cache keys); and
-        ``adaptive`` additionally fuses micro-steps while no fault
-        window, workload checkpoint, mode transition or proximity
-        hazard is near (same safety verdicts, distinct cache keys).
+        lock-step loop that runs sensors, firmware and physics every
+        time-step; ``adaptive`` fuses micro-steps into one control
+        period while no fault window, workload checkpoint, mode
+        transition or proximity hazard is near (same safety verdicts,
+        distinct cache keys).
     """
 
-    #: Stepping modes accepted by :attr:`stepper`.
-    STEPPERS = ("reference", "soa", "adaptive")
+    #: Stepping modes accepted by :attr:`stepper` -- the one definition
+    #: the CLI, the campaign API and the cache keys all read.
+    STEPPERS = ("reference", "adaptive")
 
     firmware_class: Type[ControlFirmware] = ArduPilotFirmware
     workload_factory: Callable[[], Target] = AutoWorkload

@@ -115,8 +115,6 @@ BURST_STRATEGIES = frozenset({"avis", "stratified-bfi", "bfi"})
 
 WORKLOADS = ("auto", "waypoint", "poshold", "convoy", "crossing", "multi-pad")
 
-STEPPERS = ("reference", "soa", "adaptive")
-
 
 def parse_vehicle_spec(text: str) -> VehicleSpec:
     """Parse one vehicle spec: ``firmware=px4,airframe=solo``."""
@@ -321,10 +319,10 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
     fingerprints no matter how it was submitted.  (Error messages use
     the CLI flag spellings -- the request fields map one-to-one.)
     """
-    if request.stepper not in STEPPERS:
+    if request.stepper not in RunConfiguration.STEPPERS:
         raise ValueError(
             f"unknown stepper '{request.stepper}' "
-            f"(choose from {', '.join(STEPPERS)})"
+            f"(choose from {', '.join(RunConfiguration.STEPPERS)})"
         )
     for firmware_name in request.firmwares:
         if firmware_name not in FIRMWARES:
@@ -448,8 +446,7 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
                     workload_id += "+traffic"
             if request.stepper != "reference":
                 # Non-default steppers mark the cell id so streams and
-                # resumes distinguish them at a glance ('soa' cells still
-                # *cache*-share with 'reference' -- they are bit-identical).
+                # resumes distinguish them at a glance.
                 workload_id += f"+{request.stepper}"
             for strategy_name in request.strategies:
                 for budget in request.budgets:

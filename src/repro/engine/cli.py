@@ -52,6 +52,8 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.config import RunConfiguration
+
 # Matrix vocabulary and expansion live in repro.engine.api; re-exported
 # here because this module was their historical home.
 from repro.engine.api import (  # noqa: F401  (re-exports)
@@ -60,7 +62,6 @@ from repro.engine.api import (  # noqa: F401  (re-exports)
     FIRMWARES,
     FIXED_FLEET_WORKLOADS,
     FLEET_WORKLOADS,
-    STEPPERS,
     STRATEGIES,
     TRAFFIC_STRATEGIES,
     WORKLOADS,
@@ -136,14 +137,13 @@ def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         f"enumerate burst windows ({'/'.join(sorted(BURST_STRATEGIES))}).",
     )
     parser.add_argument(
-        "--stepper", choices=list(STEPPERS),
+        "--stepper", choices=list(RunConfiguration.STEPPERS),
         default="reference",
         help="simulation stepping mode for every cell: 'reference' is "
-        "the classic per-vehicle lock-step loop, 'soa' the batched "
-        "structure-of-arrays physics core (bit-identical, shares cache "
-        "entries with 'reference'), 'adaptive' additionally fuses "
-        "micro-steps while no fault window, checkpoint, mode transition "
-        "or proximity hazard is near (same verdicts, own cache keys)",
+        "the lock-step loop that runs sensors, firmware and physics "
+        "every time-step, 'adaptive' fuses micro-steps into one control "
+        "period while no fault window, checkpoint, mode transition or "
+        "proximity hazard is near (same verdicts, own cache keys)",
     )
     parser.add_argument(
         "--strategy", nargs="+", choices=sorted(STRATEGIES),

@@ -17,11 +17,14 @@ provides the Python equivalent of that loop:
   obstacles, geo-fences, wind, and home location.
 * :mod:`repro.sim.simulator` -- the lock-step stepper that ties physics,
   environment, and collision detection together and exposes the
-  ``step()`` interface Avis drives (Figure 7 of the paper).
+  ``step()`` interface Avis drives (Figure 7 of the paper).  Every fleet
+  member is integrated by its own :class:`QuadrotorPhysics`, the only
+  physics kernel, under both steppers.
+* :mod:`repro.sim.planner` -- the adaptive stepper's quiescence planner,
+  which decides how many micro-steps one control period may cover.
 """
 
 from repro.sim.environment import Environment, FenceRegion, Obstacle, Wind
-from repro.sim.fleet_physics import FleetPhysics, Touchdown, numpy_available
 from repro.sim.physics import QuadrotorPhysics
 from repro.sim.planner import StepPlanner
 from repro.sim.simulator import CollisionEvent, SimulationClock, Simulator
@@ -34,15 +37,12 @@ __all__ = [
     "CollisionEvent",
     "Environment",
     "FenceRegion",
-    "FleetPhysics",
     "IRIS_QUADCOPTER",
     "Obstacle",
     "QuadrotorPhysics",
     "SimulationClock",
     "Simulator",
     "StepPlanner",
-    "Touchdown",
     "VehicleState",
     "Wind",
-    "numpy_available",
 ]

@@ -38,7 +38,7 @@ class TestCampaignRequest:
             "--budget", "8", "--fleet-size", "2",
             "--traffic-faults", "--separation-aware",
             "--burst-duration", "5",
-            "--backend", "pool:2", "--stepper", "soa",
+            "--backend", "pool:2", "--stepper", "adaptive",
         ]
         args = build_parser().parse_args(argv)
         via_cli = cli_build_cells(args)
@@ -52,7 +52,7 @@ class TestCampaignRequest:
             separation_aware=True,
             burst_durations=(5.0,),
             backend="pool:2",
-            stepper="soa",
+            stepper="adaptive",
         )
         via_request = build_cells(request)
         assert [c.cell_id for c in via_cli] == [c.cell_id for c in via_request]

@@ -1,19 +1,19 @@
-"""The fast simulation core: SoA batched physics + adaptive stepping.
+"""The fast simulation core: the adaptive stepper and its planner.
 
-Pins the two contracts the ``stepper`` knob rests on:
+Pins the contracts the ``stepper`` knob rests on:
 
-* **Bit-identity** -- the SoA fleet core (`FleetPhysics`, either
-  kernel) reproduces the reference per-object integrator bit for bit:
-  states, event logs and cache keys are *equal*, not approximately
-  equal, across single-vehicle, fleet, traffic-fault and burst
-  scenarios, with and without numpy.
+* **One kernel** -- every stepper integrates through
+  :class:`QuadrotorPhysics` (dt edge cases below); the stepper
+  vocabulary is ``reference`` / ``adaptive`` on every entry point.
 * **Verdict equivalence** -- the quiescence-skipping adaptive stepper
   reaches the same safe/unsafe verdicts as the reference loop on the
   committed end-to-end scenarios (the convoy recovery-window hazard and
   the burst-vs-latched pair), while fusing most of its control periods.
+
+Bit-for-bit behaviour of both steppers across refactors is pinned by
+``tests/test_golden_digests.py``.
 """
 
-import math
 from dataclasses import replace
 
 import pytest
@@ -34,7 +34,6 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import Observability, observed
 from repro.sensors.base import SensorId, SensorType
 from repro.sim.environment import default_environment
-from repro.sim.fleet_physics import FleetPhysics, numpy_available
 from repro.sim.physics import ActuatorCommand, QuadrotorPhysics
 from repro.sim.planner import StepPlanner
 from repro.sim.simulator import SimulationClock, Simulator
@@ -46,222 +45,6 @@ from repro.workloads.framework import Target, WorkloadOutcome
 GPS = SensorId(SensorType.GPS, 0)
 
 DT = 0.01
-
-#: Kernels to pin against the reference integrator on this host.
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
-
-def scripted_command(step: int, phase_shift: int = 0) -> ActuatorCommand:
-    """A deterministic command tape exercising every physics branch:
-    disarmed rest, full-throttle climb, banked cruise with yaw, a cut
-    throttle (free fall to a hard impact) and a disarmed tail."""
-    t = (step + phase_shift) * DT
-    if t < 0.2:
-        return ActuatorCommand()
-    if t < 2.0:
-        return ActuatorCommand(throttle=0.9, armed=True)
-    if t < 3.0:
-        return ActuatorCommand(
-            throttle=0.55,
-            target_roll=-0.1,
-            target_pitch=0.2,
-            target_yaw_rate=0.4,
-            armed=True,
-        )
-    if t < 6.0:
-        return ActuatorCommand(throttle=0.0, armed=True)
-    return ActuatorCommand()
-
-
-def reference_states(steps: int, fleet_size: int = 1, dt: float = DT):
-    """Trajectories from one ``QuadrotorPhysics`` object per vehicle."""
-    environment = default_environment()
-    engines = []
-    for vehicle in range(fleet_size):
-        engine = QuadrotorPhysics(
-            airframe=IRIS_QUADCOPTER, environment=environment, dt=dt
-        )
-        if vehicle:
-            engine.teleport((0.0, vehicle * 8.0, 0.0))
-        engines.append(engine)
-    trajectory = []
-    for step in range(steps):
-        trajectory.append(
-            [
-                engines[v].step(scripted_command(step, phase_shift=17 * v))
-                for v in range(fleet_size)
-            ]
-        )
-    return trajectory, engines
-
-
-def fleet_states(steps: int, fleet_size: int = 1, backend: str = "python", dt: float = DT):
-    """The same trajectories from one batched ``FleetPhysics``."""
-    fleet = FleetPhysics(
-        airframes=[IRIS_QUADCOPTER] * fleet_size,
-        environment=default_environment(),
-        dt=dt,
-        backend=backend,
-    )
-    for vehicle in range(1, fleet_size):
-        fleet.teleport(vehicle, (0.0, vehicle * 8.0, 0.0))
-    trajectory = []
-    for step in range(steps):
-        trajectory.append(
-            fleet.step_all(
-                [
-                    scripted_command(step, phase_shift=17 * v)
-                    for v in range(fleet_size)
-                ]
-            )
-        )
-    return trajectory, fleet
-
-
-class TestFleetPhysicsKernel:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_vehicle_matches_reference_bit_for_bit(self, backend):
-        reference, engines = reference_states(900)
-        batched, fleet = fleet_states(900, backend=backend)
-        assert batched == reference  # dataclass equality: exact floats
-        assert fleet.time == engines[0].time
-        assert fleet.last_impact_speed(0) == engines[0].last_impact_speed
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fleet_matches_reference_objects(self, backend):
-        reference, engines = reference_states(900, fleet_size=3)
-        batched, fleet = fleet_states(900, fleet_size=3, backend=backend)
-        assert batched == reference
-        for vehicle, engine in enumerate(engines):
-            assert fleet.last_impact_speed(vehicle) == engine.last_impact_speed
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy kernel absent")
-    def test_python_and_numpy_kernels_bit_identical(self):
-        python_run, _ = fleet_states(900, fleet_size=3, backend="python")
-        numpy_run, _ = fleet_states(900, fleet_size=3, backend="numpy")
-        assert python_run == numpy_run
-
-    def test_step_held_equals_repeated_step_all(self):
-        one_by_one, _ = fleet_states(400, fleet_size=2)
-        fleet = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER] * 2,
-            environment=default_environment(),
-            dt=DT,
-            backend="python",
-        )
-        fleet.teleport(1, (0.0, 8.0, 0.0))
-        # Re-drive the same tape, but fused: commands are constant within
-        # each scripted phase, so holding them is exactly re-sending them.
-        step = 0
-        held = []
-        while step < 400:
-            commands = [scripted_command(step, phase_shift=17 * v) for v in range(2)]
-            stride = 1
-            while (
-                step + stride < 400
-                and stride < 5
-                and all(
-                    scripted_command(step + stride, phase_shift=17 * v) == commands[v]
-                    for v in range(2)
-                )
-            ):
-                stride += 1
-            fleet.step_held(commands, stride)
-            held.append(fleet.snapshots())
-            step += stride
-        assert held[-1] == one_by_one[-1]
-        assert fleet.time == one_by_one[-1][0].time
-
-    def test_backend_selection_and_validation(self, monkeypatch):
-        with pytest.raises(ValueError):
-            FleetPhysics(
-                airframes=[IRIS_QUADCOPTER],
-                environment=default_environment(),
-                backend="fortran",
-            )
-        monkeypatch.setattr("repro.sim.fleet_physics._np", None)
-        with pytest.raises(ValueError):
-            FleetPhysics(
-                airframes=[IRIS_QUADCOPTER],
-                environment=default_environment(),
-                backend="numpy",
-            )
-        fallback = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER], environment=default_environment()
-        )
-        assert fallback.backend == "python"
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy kernel absent")
-    def test_small_fleets_auto_pick_the_python_kernel(self, monkeypatch):
-        small = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER] * 2, environment=default_environment()
-        )
-        assert small.backend == "python"
-        monkeypatch.setattr("repro.sim.fleet_physics.NUMPY_MIN_FLEET", 2)
-        wide = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER] * 2, environment=default_environment()
-        )
-        assert wide.backend == "numpy"
-
-    def test_command_count_validated(self):
-        fleet = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER] * 2, environment=default_environment()
-        )
-        with pytest.raises(ValueError):
-            fleet.step_all([ActuatorCommand()])
-        with pytest.raises(ValueError):
-            fleet.step_held([ActuatorCommand()], 3)
-
-
-class TestTouchdownRecords:
-    def _fly_and_drop(self, fleet, steps=700):
-        for step in range(steps):
-            fleet.step_all([scripted_command(step)])
-
-    def test_hard_impact_recorded_with_reference_speed_and_time(self):
-        fleet = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=DT
-        )
-        self._fly_and_drop(fleet)
-        touchdowns = fleet.drain_touchdowns()
-        hard = [t for t in touchdowns if t.speed >= 2.0]
-        assert hard, "the scripted free fall must land hard"
-        touchdown = hard[-1]
-        assert touchdown.vehicle == 0
-        assert touchdown.speed == fleet.last_impact_speed(0)
-        # The timestamp sits on the step grid and the contact point on
-        # the terrain.
-        assert touchdown.time == pytest.approx(
-            round(touchdown.time / DT) * DT, abs=1e-9
-        )
-        assert touchdown.position[2] == default_environment().terrain_height(
-            touchdown.position[0], touchdown.position[1]
-        )
-        assert fleet.drain_touchdowns() == []
-
-    def test_touchdown_inside_fused_macro_step_keeps_exact_timestamp(self):
-        """A hard impact mid-window is attributed to its exact micro-step."""
-        reference = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=DT
-        )
-        self._fly_and_drop(reference)
-        expected = reference.drain_touchdowns()
-
-        fused = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=DT
-        )
-        step = 0
-        while step < 700:
-            stride = min(5, 700 - step)
-            command = scripted_command(step)
-            if any(
-                scripted_command(step + k) != command for k in range(1, stride)
-            ):
-                stride = 1
-            fused.step_held([command], stride)
-            step += stride
-        assert fused.drain_touchdowns() == expected
-        assert fused.snapshots() == reference.snapshots()
 
 
 class TestDtEdgeCases:
@@ -279,10 +62,6 @@ class TestDtEdgeCases:
             QuadrotorPhysics(
                 airframe=IRIS_QUADCOPTER, environment=default_environment(), dt=-0.01
             )
-        with pytest.raises(ValueError):
-            FleetPhysics(
-                airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=0.0
-            )
 
     @pytest.mark.parametrize("dt", [0.15, 0.2])
     def test_attitude_alpha_clamps_when_dt_exceeds_time_constant(self, dt):
@@ -299,13 +78,6 @@ class TestDtEdgeCases:
         state = engine.step(command)
         assert state.attitude.roll == command.target_roll
         assert state.attitude.pitch == command.target_pitch
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fleet_physics_matches_reference_at_coarse_dt(self, backend):
-        dt = 0.2  # alpha clamp active in every step
-        reference, _ = reference_states(60, fleet_size=2, dt=dt)
-        batched, _ = fleet_states(60, fleet_size=2, backend=backend, dt=dt)
-        assert batched == reference
 
 
 class TestStepPlanner:
@@ -359,51 +131,14 @@ class TestStepPlanner:
             StepPlanner(dt=0.02, max_stride=0)
 
 
-class TestSimulatorSoA:
-    def _drive(self, simulator, steps=700):
-        for step in range(steps):
-            simulator.step_fleet(
-                [
-                    scripted_command(step, phase_shift=17 * v)
-                    for v in range(simulator.fleet_size)
-                ]
-            )
-
-    def test_soa_simulator_is_bit_identical_to_reference(self):
-        reference = Simulator(dt=DT, fleet_size=2, stepper="reference")
-        batched = Simulator(dt=DT, fleet_size=2, stepper="soa")
-        self._drive(reference)
-        self._drive(batched)
-        assert batched.states == reference.states
-        assert batched.collisions == reference.collisions
-        assert batched.fence_breaches == reference.fence_breaches
-        assert batched.proximity_events == reference.proximity_events
-        assert batched.min_separation_m == reference.min_separation_m
-        assert batched.time == reference.time
-        assert batched.safety_events() == reference.safety_events()
-        assert reference.collisions, "the scripted drop must record a collision"
-
-    def test_physics_property_guarded_under_soa(self):
-        batched = Simulator(stepper="soa")
-        with pytest.raises(AttributeError):
-            _ = batched.physics
-        assert batched.fleet is not None
-        reference = Simulator(stepper="reference")
-        assert reference.fleet is None
-        assert reference.physics is not None
-
-    @pytest.mark.parametrize("stepper", ["reference", "soa"])
-    def test_teleport_vehicle_updates_snapshot(self, stepper):
-        simulator = Simulator(dt=DT, fleet_size=2, stepper=stepper)
+class TestSimulator:
+    def test_teleport_vehicle_updates_snapshot(self):
+        simulator = Simulator(dt=DT, fleet_size=2)
         simulator.teleport_vehicle(1, (3.0, 4.0, 25.0), velocity=(1.0, 0.0, 0.0))
         state = simulator.state_of(1)
         assert state.position == (3.0, 4.0, 25.0)
         assert state.velocity == (1.0, 0.0, 0.0)
         assert not state.on_ground
-
-    def test_unknown_stepper_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(stepper="warp")
 
 
 class TestRunConfigurationStepper:
@@ -417,17 +152,21 @@ class TestRunConfigurationStepper:
         config = RunConfiguration(firmware_class=ArduPilotFirmware, stepper="adaptive")
         assert config.with_noise_seed(7).stepper == "adaptive"
 
+    def test_soa_is_rejected_on_every_entry_point(self):
+        """The removed ``soa`` stepper has no alias: the run
+        configuration and the campaign matrix both refuse it."""
+        from repro.engine.api import CampaignRequest, build_cells
+
+        assert RunConfiguration.STEPPERS == ("reference", "adaptive")
+        with pytest.raises(ValueError):
+            RunConfiguration(firmware_class=ArduPilotFirmware, stepper="soa")
+        with pytest.raises(ValueError):
+            build_cells(CampaignRequest(stepper="soa"))
+
 
 class TestCacheKeys:
     def _config(self, stepper):
         return RunConfiguration(firmware_class=ArduPilotFirmware, stepper=stepper)
-
-    def test_soa_shares_cache_keys_with_reference(self):
-        scenario = FaultScenario([FaultSpec(GPS, 2.0)])
-        assert scenario_key(self._config("soa"), "auto", scenario) == scenario_key(
-            self._config("reference"), "auto", scenario
-        )
-        assert "stepper" not in config_fingerprint(self._config("soa"), "auto")
 
     def test_adaptive_gets_its_own_fingerprint_term(self):
         scenario = FaultScenario([FaultSpec(GPS, 2.0)])
@@ -447,70 +186,6 @@ def auto_config(stepper="reference", **overrides):
         stepper=stepper,
         **overrides,
     )
-
-
-def convoy_config(stepper="reference", **overrides):
-    return RunConfiguration(
-        firmware_class=ArduPilotFirmware,
-        workload_factory=lambda: ConvoyFollowWorkload(),
-        fleet_size=2,
-        max_sim_time_s=60.0,
-        stepper=stepper,
-        **overrides,
-    )
-
-
-def assert_identical_results(reference, batched):
-    """Every observable of the two runs is *equal*, not approximately."""
-    assert batched.trace == reference.trace
-    assert batched.mode_transitions == reference.mode_transitions
-    assert batched.collisions == reference.collisions
-    assert batched.fence_breaches == reference.fence_breaches
-    assert batched.injections == reference.injections
-    assert batched.failsafe_events == reference.failsafe_events
-    assert batched.triggered_bugs == reference.triggered_bugs
-    assert batched.workload_result.outcome == reference.workload_result.outcome
-    assert batched.steps == reference.steps
-    assert batched.duration_s == reference.duration_s
-    assert batched.min_separation_m == reference.min_separation_m
-    assert batched.vehicle_traces == reference.vehicle_traces
-    assert batched.traffic_injections == reference.traffic_injections
-
-
-class TestHarnessBitIdentity:
-    """Full runs: reference stepper vs the SoA core, equal in every field."""
-
-    def test_single_vehicle_mission(self):
-        reference = TestRunner(auto_config("reference")).run()
-        batched = TestRunner(auto_config("soa")).run()
-        assert reference.workload_result.passed
-        assert_identical_results(reference, batched)
-
-    def test_single_vehicle_burst_fault(self):
-        scenario = FaultScenario([FaultSpec(GPS, 6.0, duration_s=4.0)])
-        reference = TestRunner(auto_config("reference")).run(scenario)
-        batched = TestRunner(auto_config("soa")).run(scenario)
-        assert reference.injections, "the burst fault must inject"
-        assert_identical_results(reference, batched)
-
-    def test_convoy_with_traffic_fault(self):
-        scenario = FaultScenario(
-            [TrafficFaultSpec(0, TrafficFaultKind.DROPOUT, 10.0, duration_s=5.0)]
-        )
-        reference = TestRunner(convoy_config("reference")).run(scenario)
-        batched = TestRunner(convoy_config("soa")).run(scenario)
-        assert reference.traffic_injections, "the dropout must inject"
-        assert_identical_results(reference, batched)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy kernel absent")
-    def test_python_backend_matches_numpy_backend_end_to_end(self, monkeypatch):
-        # Small fleets auto-pick the python kernel; drop the cutover to
-        # force the numpy kernel through a whole harness run.
-        monkeypatch.setattr("repro.sim.fleet_physics.NUMPY_MIN_FLEET", 1)
-        with_numpy = TestRunner(auto_config("soa")).run()
-        monkeypatch.setattr("repro.sim.fleet_physics._np", None)
-        without_numpy = TestRunner(auto_config("soa")).run()
-        assert_identical_results(with_numpy, without_numpy)
 
 
 class TestAdaptiveRun:
@@ -649,7 +324,6 @@ class TestCliStepper:
         for cell in build_cells(args):
             assert cell.config.stepper == "reference"
             assert "+reference" not in cell.cell_id
-            assert "+soa" not in cell.cell_id
 
 
 class _StubHarness:
