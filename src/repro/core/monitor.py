@@ -260,6 +260,15 @@ class InvariantMonitor:
         """
         self._progress_tracker = _OnlineProgressTracker(self._liveliness)
         self._vehicle_trackers = {}
+        self.adopt_scenario(scenario)
+
+    def adopt_scenario(self, scenario) -> None:
+        """Seed the recovery-tolerance windows from ``scenario`` only.
+
+        :meth:`begin_run` calls it; a fault-free run forked into a
+        faulted one calls it alone, so the online trackers keep the
+        samples streamed so far.
+        """
         self._tolerance_windows = recovery_tolerance_windows(
             scenario, self.RECOVERY_GRACE_S
         )

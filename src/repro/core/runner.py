@@ -22,9 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.config import RunConfiguration, VehicleSpec
+from repro.core.prefix import share_prefix
 from repro.firmware.base import ControlFirmware
 from repro.firmware.modes import FlightMode
 from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario
@@ -206,6 +216,17 @@ class RunResult:
             f"workload={outcome}, unsafe={len(self.unsafe_conditions)}, "
             f"bugs={','.join(self.triggered_bugs) or 'none'}"
         )
+
+
+def _fault_boundaries(scenario: FaultScenario) -> List[float]:
+    """Planner boundaries of ``scenario``: every fault window's start
+    and, for recovering faults, its end (both fault families)."""
+    boundaries: List[float] = []
+    for fault in list(scenario) + scenario.traffic_faults:
+        boundaries.append(fault.start_time)
+        if fault.duration_s is not None:
+            boundaries.append(fault.start_time + fault.duration_s)
+    return boundaries
 
 
 class _VehicleUnit:
@@ -414,16 +435,9 @@ class SimulationHarness:
         # the run observes them.
         self._planner: Optional[StepPlanner] = None
         if config.stepper == "adaptive":
-            boundaries: List[float] = []
-            for fault in scenario:
-                boundaries.append(fault.start_time)
-                if fault.duration_s is not None:
-                    boundaries.append(fault.start_time + fault.duration_s)
-            for fault in scenario.traffic_faults:
-                boundaries.append(fault.start_time)
-                if fault.duration_s is not None:
-                    boundaries.append(fault.start_time + fault.duration_s)
-            self._planner = StepPlanner(dt=config.dt, event_times=boundaries)
+            self._planner = StepPlanner(
+                dt=config.dt, event_times=_fault_boundaries(scenario)
+            )
         self._last_labels: Optional[List[str]] = None
         self._refine_separation_m = (
             separation_threshold + PROXIMITY_REFINE_MARGIN_M
@@ -471,6 +485,10 @@ class SimulationHarness:
         self._proximity_seen = 0
         self._max_steps = int(config.max_sim_time_s / config.dt)
         self._sample_interval = max(config.sample_interval_steps, 1)
+        # Shared fault-free prefix (repro.core.prefix): a carrier flying
+        # the golden run installs a hook that forks at ``_fork_at``.
+        self._fork_at = math.inf
+        self._fork_hook: Optional[Callable[["SimulationHarness"], None]] = None
         self._record_sample()
         if self._recorder is not None:
             self._recorder.add_phase("provision", self._clock() - provision_start)
@@ -682,6 +700,8 @@ class SimulationHarness:
         """
         remaining = count
         while remaining > 0 and not self._abort:
+            if self.time >= self._fork_at:
+                self._fork_hook(self)
             if self._planner is None:
                 stride = 1
             else:
@@ -690,6 +710,38 @@ class SimulationHarness:
                 )
             self._step_window(stride)
             remaining -= stride
+
+    # ------------------------------------------------------------------
+    # Shared fault-free prefix
+    # ------------------------------------------------------------------
+    def set_fork_hook(
+        self, hook: Optional[Callable[["SimulationHarness"], None]], at: float
+    ) -> None:
+        """Call ``hook`` at the first window boundary at or after
+        simulated time ``at`` (``math.inf`` and ``None`` disarm it)."""
+        self._fork_hook = hook
+        self._fork_at = at if hook is not None else math.inf
+
+    def adopt_scenario(self, scenario: FaultScenario) -> None:
+        """Continue this (so far fault-free) run under ``scenario``.
+
+        Valid only while nothing of ``scenario`` can have been observed
+        yet (see :func:`repro.core.prefix.fork_time`): the schedulers
+        keep their query counts, the traffic channel and the monitor's
+        recovery-tolerance windows take the scenario's faults, and the
+        adaptive planner learns its boundaries.  The online trackers are
+        not reset, so the run continues exactly as if it had been
+        provisioned with ``scenario`` from the start.
+        """
+        self._scenario = scenario
+        for unit in self._units:
+            unit.scheduler.adopt_scenario(scenario.vehicle_view(unit.vehicle))
+        if self.traffic is not None:
+            self.traffic.adopt_faults(scenario.traffic_faults)
+        if self._monitor is not None and hasattr(self._monitor, "adopt_scenario"):
+            self._monitor.adopt_scenario(scenario)
+        if self._planner is not None:
+            self._planner.add_events(_fault_boundaries(scenario))
 
     def _all_firmware_alive(self) -> bool:
         return all(unit.firmware.process_alive for unit in self._units)
@@ -851,6 +903,13 @@ class TestRunner:
         self._monitor = monitor
         self._runs_executed = 0
         self._simulated_seconds = 0.0
+        #: Runs whose result came from a fork of a shared golden prefix.
+        self.shared_prefix_runs = 0
+        #: Forked prefix processes that died; their runs re-ran in-process.
+        self.lost_forks = 0
+        # (scenario, result or exception) the next run() hands out
+        # instead of simulating; set by run_batch.
+        self._adopted: Optional[Tuple[FaultScenario, object]] = None
 
     @property
     def config(self) -> RunConfiguration:
@@ -899,26 +958,61 @@ class TestRunner:
                 obs.metrics.counter("run.flight_events", kind=event.kind).inc()
         return result
 
+    def run_batch(self, scenarios: Sequence[FaultScenario]) -> Iterator[RunResult]:
+        """Run ``scenarios`` in order, yielding each result from :meth:`run`.
+
+        The batch's fault-free prefix is flown once and forked per
+        scenario (:mod:`repro.core.prefix`) whenever that is exact; the
+        results are the ones in-process runs give, and each still comes
+        back through :meth:`run` in this process.
+        """
+        shared = share_prefix(self, scenarios)
+        if shared is not None:
+            self.lost_forks += shared.lost
+        for index, scenario in enumerate(scenarios):
+            if shared is not None and index in shared.outcomes:
+                self._adopted = (scenario, shared.outcomes.pop(index))
+            yield self.run(scenario)
+
+    def _fly(
+        self,
+        config: RunConfiguration,
+        scenario: FaultScenario,
+        fork_hook: Optional[Callable[[SimulationHarness], None]] = None,
+        fork_at: float = math.inf,
+    ) -> Tuple[SimulationHarness, Target, Optional[WorkloadResult]]:
+        """Provision a harness for ``scenario`` and run the workload."""
+        harness = SimulationHarness(config, scenario, monitor=self._monitor)
+        if self._monitor is not None:
+            # The scenario seeds the monitor's recovery-tolerance windows
+            # (a no-op for latched-only scenarios).
+            self._monitor.begin_run(scenario)
+        workload = config.workload_factory()
+        workload.bind(harness)
+        harness.set_fork_hook(fork_hook, fork_at)
+        return harness, workload, workload.run()
+
     def _run(
         self, scenario: FaultScenario, noise_seed: Optional[int]
     ) -> RunResult:
-        config = self._config
-        if noise_seed is not None:
-            config = config.with_noise_seed(noise_seed)
-        online_monitor = self._monitor if self._monitor is not None else None
-        harness = SimulationHarness(config, scenario, monitor=online_monitor)
-        if online_monitor is not None:
-            # The scenario seeds the monitor's recovery-tolerance windows
-            # (a no-op for latched-only scenarios).
-            online_monitor.begin_run(scenario)
-        workload = config.workload_factory()
-        workload.bind(harness)
-        workload_result = workload.run()
-        result = harness.build_result(workload, workload_result)
+        adopted, self._adopted = self._adopted, None
+        harness = None
+        if adopted is not None and adopted[0] is scenario and noise_seed is None:
+            if isinstance(adopted[1], BaseException):
+                raise adopted[1]
+            result = adopted[1]
+            result.scenario = scenario
+            self.shared_prefix_runs += 1
+        else:
+            config = self._config
+            if noise_seed is not None:
+                config = config.with_noise_seed(noise_seed)
+            harness, workload, workload_result = self._fly(config, scenario)
+            result = harness.build_result(workload, workload_result)
         self._runs_executed += 1
         self._simulated_seconds += result.duration_s
         if self._monitor is not None:
-            recorder = harness._recorder
+            recorder = harness._recorder if harness is not None else None
             if recorder is not None:
                 evaluate_start = harness._clock()
                 result.unsafe_conditions = self._monitor.evaluate(result)

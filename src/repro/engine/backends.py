@@ -7,15 +7,21 @@ per scenario, **in submission order**.  Because every run provisions a
 fresh harness and the sensor noise is seeded from the configuration
 (``iris_sensor_suite(noise_seed=config.noise_seed)``), a run's outcome
 is a pure function of ``(config, scenario)`` -- which is what makes the
-process-pool backend bit-identical to the serial one.
+process-pool backend bit-identical to the serial one.  That holds for
+adopted runs too: the serial and pool backends run batches through
+:meth:`~repro.core.runner.TestRunner.run_batch`, which forks a golden
+run into each scenario before any of its faults can be observed
+(:mod:`repro.core.prefix`), so an adopted run equals a run provisioned
+with its scenario from t=0.
 
 Three backends ship with the engine:
 
-* :class:`SerialBackend` -- runs the batch in-process, one scenario at a
-  time.  The reference implementation and the fallback everywhere a
-  process pool is unavailable.
+* :class:`SerialBackend` -- runs the batch one scenario at a time,
+  sharing its fault-free prefix.  The reference implementation and the
+  fallback everywhere a process pool is unavailable.
 * :class:`ProcessPoolBackend` -- fans the batch out over a
-  ``multiprocessing`` pool using the ``fork`` start method.  Fork (not
+  ``multiprocessing`` pool using the ``fork`` start method, in
+  contiguous chunks by fork time.  Fork (not
   spawn) matters: run configurations carry workload factories that are
   frequently lambdas, which cannot be pickled; with fork the workers
   inherit the parent's context and only the scenarios and results cross
@@ -47,6 +53,7 @@ import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration
+from repro.core.prefix import fork_time
 from repro.core.runner import RunResult, TestRunner
 from repro.hinj.faults import FaultScenario
 from repro.obs import runtime as obs_runtime
@@ -62,34 +69,64 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _run_one(scenario: FaultScenario) -> RunResult:
-    """Execute one scenario inside a forked worker."""
-    assert _WORKER_CONTEXT is not None
-    config, monitor = _WORKER_CONTEXT
-    return TestRunner(config, monitor=monitor).run(scenario)
+def _run_chunk(
+    items: List[Tuple[int, FaultScenario]]
+) -> List[Tuple[int, RunResult, Optional[Tuple[int, float, float]]]]:
+    """Execute a contiguous chunk of (submission index, scenario) pairs
+    inside a forked worker, through the serial batch path (so the chunk
+    shares its fault-free prefix).
 
-
-def _run_indexed(
-    item: Tuple[int, FaultScenario]
-) -> Tuple[int, RunResult, Optional[Tuple[int, float, float]]]:
-    """Execute one (submission index, scenario) pair inside a worker.
-
-    The index rides along so the parent can collect completions in
-    whatever order the pool finishes them and still reorder the batch
-    back into submission order.  When an observability runtime is
-    installed (workers inherit it at fork), a ``(worker pid, start
-    clock, execute seconds)`` triple rides along too -- ``perf_counter``
+    The indices ride along so the parent can collect chunks in whatever
+    order the pool finishes them and still reorder the batch back into
+    submission order.  When an observability runtime is installed
+    (workers inherit it at fork), a ``(worker pid, start clock, execute
+    seconds)`` triple rides along with each result -- ``perf_counter``
     is CLOCK_MONOTONIC-backed on Linux and therefore comparable across
     forked processes, which is what lets the parent split queue wait
     from execute time.
     """
-    index, scenario = item
-    if obs_runtime.current() is None:
-        return index, _run_one(scenario), None
-    start = time.perf_counter()
-    result = _run_one(scenario)
-    execute_s = time.perf_counter() - start
-    return index, result, (os.getpid(), start, execute_s)
+    assert _WORKER_CONTEXT is not None
+    config, monitor = _WORKER_CONTEXT
+    batch = TestRunner(config, monitor=monitor).run_batch(
+        [scenario for _, scenario in items]
+    )
+    observed = obs_runtime.current() is not None
+    done = []
+    for index, _ in items:
+        start = time.perf_counter() if observed else 0.0
+        result = next(batch)
+        timing = None
+        if observed:
+            timing = (os.getpid(), start, time.perf_counter() - start)
+        done.append((index, result, timing))
+    return done
+
+
+#: Contiguous chunks per pool worker.  Early-forking scenarios carry
+#: the longest faulted suffixes, so one chunk per worker leaves the
+#: worker holding the earliest forks with the most work; two per worker,
+#: handed out as workers free up, even the load while each chunk still
+#: shares its prefix.
+CHUNKS_PER_WORKER = 2
+
+
+def _chunks(
+    config: RunConfiguration, scenarios: Sequence[FaultScenario], count: int
+) -> List[List[Tuple[int, FaultScenario]]]:
+    """Split the batch into ``count`` contiguous chunks by fork time, so
+    scenarios that leave the golden flight together share a carrier."""
+    ordered = sorted(
+        enumerate(scenarios), key=lambda item: (fork_time(config, item[1]), item[0])
+    )
+    size, extra = divmod(len(ordered), count)
+    chunks = []
+    start = 0
+    for chunk in range(count):
+        end = start + size + (1 if chunk < extra else 0)
+        if end > start:
+            chunks.append(ordered[start:end])
+        start = end
+    return chunks
 
 
 class ExecutionBackend(abc.ABC):
@@ -130,10 +167,11 @@ class SerialBackend(ExecutionBackend):
         runner = TestRunner(config, monitor=monitor)
         obs = obs_runtime.current()
         results: List[RunResult] = []
-        for index, scenario in enumerate(scenarios):
+        batch = runner.run_batch(scenarios)
+        for index in range(len(scenarios)):
             if obs is not None:
                 start = time.perf_counter()
-            result = runner.run(scenario)
+            result = next(batch)
             if obs is not None:
                 execute_s = time.perf_counter() - start
                 obs.metrics.counter("backend.worker_tasks", worker="serial").inc()
@@ -223,14 +261,18 @@ class ProcessPoolBackend(ExecutionBackend):
         pool = self._ensure_pool(config, monitor)
         obs = obs_runtime.current()
         submit_clock = time.perf_counter() if obs is not None else 0.0
-        # In-flight scheduling: collect completions as the workers finish
-        # them (imap_unordered has no head-of-line blocking, so a slow
-        # scenario never stalls the progress callback behind it) and
-        # reorder into submission order via the indices that rode along.
+        # Workers take contiguous chunks of the batch sorted by fork
+        # time and run each through the serial batch path, so a chunk
+        # shares its fault-free prefix.  Chunks complete in any order;
+        # the indices that rode along restore submission order.
         slots: List[Optional[RunResult]] = [None] * len(scenarios)
-        for index, result, timing in pool.imap_unordered(
-            _run_indexed, list(enumerate(scenarios)), chunksize=1
-        ):
+        chunks = _chunks(config, scenarios, CHUNKS_PER_WORKER * self._max_workers)
+        completed = (
+            item
+            for done in pool.imap_unordered(_run_chunk, chunks)
+            for item in done
+        )
+        for index, result, timing in completed:
             if obs is not None and timing is not None:
                 worker_pid, start_clock, execute_s = timing
                 worker = f"pid{worker_pid}"

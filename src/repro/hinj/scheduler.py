@@ -107,6 +107,16 @@ class FaultScheduler:
         self._injected = {}
         self._query_count = 0
 
+    def adopt_scenario(self, scenario: FaultScenario) -> None:
+        """Swap in ``scenario`` mid-run, keeping the query count.
+
+        Used when a fault-free run is forked into a faulted one before
+        any of ``scenario``'s faults could have been observed: every
+        query answered so far would have been answered identically, so
+        only the scenario changes.
+        """
+        self._scenario = scenario
+
     # ------------------------------------------------------------------
     # The libhinj query (Step 4 of Figure 7)
     # ------------------------------------------------------------------

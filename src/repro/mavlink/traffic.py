@@ -159,14 +159,23 @@ class TrafficChannel:
         # Last pre-fault beacon per frozen sender (the ghost payload).
         self._frozen: Dict[int, TrafficBeacon] = {}
         self._faults: Dict[int, List[TrafficFaultSpec]] = {}
-        for fault in faults:
-            self._faults.setdefault(fault.vehicle, []).append(fault)
-        for vehicle_faults in self._faults.values():
-            vehicle_faults.sort(key=lambda fault: fault.sort_key())
+        self.adopt_faults(faults)
         self._injected: Dict[TrafficFaultSpec, TrafficInjectionRecord] = {}
         self.beacons_sent = 0
         self.beacons_delivered = 0
         self.beacons_dropped = 0
+
+    def adopt_faults(self, faults: Sequence[TrafficFaultSpec]) -> None:
+        """Schedule ``faults`` on this channel.
+
+        At construction, and when a fault-free run is forked into a
+        faulted one before any of ``faults`` could take effect.
+        """
+        self._faults = {}
+        for fault in faults:
+            self._faults.setdefault(fault.vehicle, []).append(fault)
+        for vehicle_faults in self._faults.values():
+            vehicle_faults.sort(key=lambda fault: fault.sort_key())
 
     # ------------------------------------------------------------------
     # Clocking and broadcasting
