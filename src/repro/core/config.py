@@ -25,6 +25,7 @@ from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.firmware.base import ControlFirmware
 from repro.firmware.params import FirmwareParameters
 from repro.sim.environment import Environment, default_environment
+from repro.sim.planner import StepPlanner
 from repro.sim.vehicle import IRIS_QUADCOPTER, AirframeParameters
 from repro.workloads.builtin import AutoWorkload
 from repro.workloads.framework import Target
@@ -204,6 +205,15 @@ class RunConfiguration:
             traffic_latency_s=self.traffic_latency_s,
             stepper=self.stepper,
         )
+
+    def step_planner(
+        self, event_times: Sequence[float] = ()
+    ) -> Optional[StepPlanner]:
+        """The planner a run of this configuration steps with (None for
+        the reference stepper), knowing the boundaries ``event_times``."""
+        if self.stepper != "adaptive":
+            return None
+        return StepPlanner(dt=self.dt, event_times=event_times)
 
     # ------------------------------------------------------------------
     # Per-vehicle specs

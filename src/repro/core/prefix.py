@@ -12,21 +12,25 @@ once.
 carrier flies ``EMPTY_SCENARIO`` and, at the last window boundary before
 each scenario's :func:`fork_time`, ``os.fork()``\\ s a child.  The child
 adopts the scenario (:meth:`SimulationHarness.adopt_scenario`), finishes
-the workload on the call stack it inherited, and sends the pickled
-``build_result`` output back; the carrier waits for each child before it
-flies on, so only one simulation runs at a time.  A batch's empty
-scenarios take the carrier's own golden result.  The caller then hands
-every result out through ``TestRunner.run``, so monitor evaluation and
-run accounting happen in the calling process exactly as for an
-in-process run.
+the workload on the call stack it inherited, and reports the pickled
+``build_result`` output.  With ``concurrency=1`` (the serial backend)
+the carrier waits for each child before it flies on, so only one
+simulation runs at a time; with ``concurrency=N`` (the process pool) it
+flies on while up to ``N - 1`` children run.  A batch's empty scenarios
+take the carrier's own golden result; when none asks for it, the
+carrier flies the batch's last-forking scenario itself instead of
+forking it.  The caller then hands every result out through
+``TestRunner.run``, so monitor evaluation and run accounting happen in
+the calling process exactly as for an in-process run.
 
-Wire format: the carrier writes frames (``_HEADER``: kind, value,
-payload length) to a pipe the caller reads.  ``_PID`` announces the
-child about to run (value = pid) so the caller can kill it if the
-carrier dies; ``_RESULT``/``_ERROR``/``_LOST`` carry a scenario index.
-A child writes one kind byte plus its payload to a pipe of its own,
-which the carrier forwards only if the child exited cleanly: a child
-that dies mid-write yields a ``_LOST`` frame, never a torn one.
+Wire format: the carrier writes frames (``_HEADER``: kind, scenario
+index, payload length) to a pipe the caller reads.  ``_PID`` announces
+a child about to run (payload: its pid) so the caller can kill it if
+the carrier dies; ``_RESULT``/``_ERROR``/``_LOST`` close a scenario.  A
+child writes one ``_REPORT`` header (kind, payload length) plus its
+payload to a pipe of its own, which the carrier forwards only once it
+arrived whole: a child that dies mid-write yields a ``_LOST`` frame,
+never a torn one.
 
 Sharing never changes a result.  Whatever does not come back as a
 complete frame -- the carrier's golden flight ended or aborted first, a
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
 import struct
 import threading
@@ -48,12 +53,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import RunConfiguration
 from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario
 from repro.obs import runtime as obs_runtime
-from repro.sim.planner import DEFAULT_HORIZON_S, DEFAULT_MAX_STRIDE
 
 if TYPE_CHECKING:
     from repro.core.runner import SimulationHarness, TestRunner
 
 _HEADER = struct.Struct("!Bqq")
+_REPORT = struct.Struct("!Bq")
+_PID_PAYLOAD = struct.Struct("!q")
 _PID, _RESULT, _ERROR, _LOST = range(4)
 
 #: Safety margin, in time-steps, between a fork and the first moment a
@@ -67,17 +73,43 @@ def fork_time(config: RunConfiguration, scenario: FaultScenario) -> float:
     the golden run (``math.inf`` for the empty scenario).
 
     A fork at any window boundary before this time is exact.  Under the
-    adaptive stepper the planner reacts to a boundary ``b`` once
-    ``now + max_stride * dt + horizon_s >= b``, so the fork comes that
-    much earlier.
+    adaptive stepper the fork also leads the planner's
+    :attr:`~repro.sim.planner.StepPlanner.reaction_lead_s`.
     """
     first = scenario.earliest_time
     if first is None:
         return math.inf
     lead = FORK_MARGIN_STEPS * config.dt
-    if config.stepper == "adaptive":
-        lead += DEFAULT_MAX_STRIDE * config.dt + DEFAULT_HORIZON_S
+    planner = config.step_planner()
+    if planner is not None:
+        lead += planner.reaction_lead_s
     return first - lead
+
+
+def fork_plan(
+    config: RunConfiguration, scenarios: Sequence[FaultScenario]
+) -> List[Tuple[float, int]]:
+    """``(fork time, index)`` of every scenario with a prefix to share
+    (fork time above 0; empty scenarios at ``math.inf``), earliest first."""
+    plan = []
+    for index, scenario in enumerate(scenarios):
+        at = fork_time(config, scenario)
+        if at > 0.0:
+            plan.append((at, index))
+    plan.sort()
+    return plan
+
+
+def can_share(config: RunConfiguration, scenarios: Sequence[FaultScenario]) -> bool:
+    """True when a single-threaded process would share this batch's
+    prefix: ``os.fork`` exists, no ``repro.obs`` runtime is installed
+    (phase timers and flight logs must stay whole), and at least two
+    scenarios have a prefix."""
+    return (
+        hasattr(os, "fork")
+        and obs_runtime.current() is None
+        and len(fork_plan(config, scenarios)) >= 2
+    )
 
 
 @dataclass
@@ -85,7 +117,7 @@ class SharedBatch:
     """What the carrier sent back for one batch.
 
     ``outcomes`` maps a scenario index to its :class:`RunResult` or to
-    the exception its child raised; indices without an entry must run
+    the exception its run raised; indices without an entry must run
     in-process.  ``lost`` counts forked processes (children and the
     carrier) that died before finishing their part.
     """
@@ -95,31 +127,17 @@ class SharedBatch:
 
 
 def share_prefix(
-    runner: "TestRunner", scenarios: Sequence[FaultScenario]
+    runner: "TestRunner", scenarios: Sequence[FaultScenario], concurrency: int = 1
 ) -> Optional[SharedBatch]:
-    """Fly ``scenarios``' common golden prefix once in a carrier process.
+    """Fly ``scenarios``' common golden prefix once in a carrier process,
+    with at most ``concurrency`` simulations running at a time.
 
-    Returns None -- run everything in-process -- when sharing cannot
-    pay off or cannot be exact: fewer than two scenarios with a prefix,
-    no ``os.fork``, another thread alive (forking it is unsafe), or an
-    installed ``repro.obs`` runtime (phase timers and flight logs must
-    stay whole).
+    Returns None -- run everything in-process -- when :func:`can_share`
+    says no or another thread is alive (forking it is unsafe).
     """
-    if (
-        not hasattr(os, "fork")
-        or obs_runtime.current() is not None
-        or threading.active_count() > 1
-    ):
+    if threading.active_count() > 1 or not can_share(runner.config, scenarios):
         return None
-    config = runner.config
-    plan: List[Tuple[float, int]] = []
-    for index, scenario in enumerate(scenarios):
-        at = fork_time(config, scenario)
-        if at > 0.0:
-            plan.append((at, index))
-    if len(plan) < 2:
-        return None
-    plan.sort()
+    plan = fork_plan(runner.config, scenarios)
     forks = [(at, index) for at, index in plan if at != math.inf]
     golden = [index for at, index in plan if at == math.inf]
 
@@ -134,7 +152,9 @@ def share_prefix(
         status = 1
         try:
             os.close(read_fd)
-            _Carrier(runner, scenarios, forks, golden, write_fd).fly()
+            _Carrier(
+                runner, scenarios, forks, golden, write_fd, max(1, concurrency)
+            ).fly()
             status = 0
         finally:
             # A forked process must never return into the caller's
@@ -147,7 +167,8 @@ def share_prefix(
 def _collect(carrier: int, read_fd: int) -> SharedBatch:
     """Read the carrier's frames until EOF, then reap it."""
     batch = SharedBatch()
-    running: Optional[int] = None
+    #: Scenario index -> pid of the child announced to be flying it.
+    running: Dict[int, int] = {}
     finished = False
     with os.fdopen(read_fd, "rb") as stream:
         try:
@@ -155,30 +176,30 @@ def _collect(carrier: int, read_fd: int) -> SharedBatch:
                 header = stream.read(_HEADER.size)
                 if len(header) < _HEADER.size:
                     break
-                kind, value, length = _HEADER.unpack(header)
+                kind, index, length = _HEADER.unpack(header)
                 payload = stream.read(length)
                 if len(payload) < length:
                     break
                 if kind == _PID:
-                    running = value
+                    running[index] = _PID_PAYLOAD.unpack(payload)[0]
                     continue
-                running = None
+                running.pop(index, None)
                 if kind == _RESULT:
-                    batch.outcomes[value] = pickle.loads(payload)
+                    batch.outcomes[index] = pickle.loads(payload)
                 elif kind == _ERROR:
                     error = _rebuild_error(*pickle.loads(payload))
                     if error is not None:
-                        batch.outcomes[value] = error
+                        batch.outcomes[index] = error
                 elif kind == _LOST:
                     batch.lost += 1
             finished = True
         finally:
             if not finished:
                 _kill(carrier)
-            if running is not None:
-                # The carrier died while a child ran: that child is
-                # orphaned, and nobody will read its result.
-                _kill(running)
+            for pid in running.values():
+                # The carrier died while these children ran: they are
+                # orphaned, and nobody will read their results.
+                _kill(pid)
             _, status = os.waitpid(carrier, 0)
     if status != 0:
         batch.lost += 1
@@ -207,8 +228,8 @@ def _rebuild_error(
         return None
 
 
-def _write_frame(fd: int, kind: int, value: int, payload=b"") -> None:
-    _write_all(fd, _HEADER.pack(kind, value, len(payload)))
+def _write_frame(fd: int, kind: int, index: int, payload=b"") -> None:
+    _write_all(fd, _HEADER.pack(kind, index, len(payload)))
     _write_all(fd, payload)
 
 
@@ -219,21 +240,13 @@ def _write_all(fd: int, data) -> None:
         view = view[written:]
 
 
-def _read_all(fd: int) -> bytearray:
-    data = bytearray()
-    while True:
-        chunk = os.read(fd, 1 << 20)
-        if not chunk:
-            return data
-        data += chunk
-
-
 class _Carrier:
     """The carrier's golden flight and the fork hook it installs.
 
     After a fork, the same object lives on in the child with
     ``adopted`` set; :meth:`fly` then reports the child's run instead
-    of the carrier's.
+    of the carrier's.  The carrier itself sets ``adopted`` when it flies
+    the batch's last scenario.
     """
 
     def __init__(
@@ -243,6 +256,7 @@ class _Carrier:
         forks: List[Tuple[float, int]],
         golden: List[int],
         out_fd: int,
+        concurrency: int,
     ) -> None:
         self._runner = runner
         self._scenarios = scenarios
@@ -250,12 +264,18 @@ class _Carrier:
         self._next = 0
         self._golden = golden
         self._out_fd = out_fd
-        #: Scenario index this process runs (None in the carrier itself).
+        self._concurrency = concurrency
+        #: Scenario index this process runs (None while it flies golden).
         self.adopted: Optional[int] = None
-        self._child_fd = -1
+        #: A forked child's report pipe (None in the carrier).
+        self._report_fd: Optional[int] = None
+        #: Children still reporting: pid -> (index, report pipe, bytes).
+        self._children: Dict[int, Tuple[int, int, bytearray]] = {}
+        #: Children that reported and are still to be reaped.
+        self._exited: List[int] = []
 
     def fly(self) -> None:
-        """Fly the golden run; in a child, finish and report its run."""
+        """Fly the golden run, then report whatever this process ran."""
         try:
             harness, workload, workload_result = self._runner._fly(
                 self._runner.config,
@@ -264,6 +284,7 @@ class _Carrier:
                 fork_at=self._forks[0][0] if self._forks else math.inf,
             )
             if self.adopted is None:
+                self._finish()
                 if self._golden:
                     payload = pickle.dumps(
                         harness.build_result(workload, workload_result),
@@ -272,38 +293,55 @@ class _Carrier:
                     for index in self._golden:
                         _write_frame(self._out_fd, _RESULT, index, payload)
                 return
-            result = harness.build_result(workload, workload_result)
+            kind = _RESULT
+            payload = pickle.dumps(
+                harness.build_result(workload, workload_result),
+                pickle.HIGHEST_PROTOCOL,
+            )
         except Exception as error:
             if self.adopted is None:
+                # Forked runs already under way are still exact.
+                self._finish()
                 raise
             kind = _ERROR
             payload = pickle.dumps(
                 (type(error), str(error), traceback.format_exc()),
                 pickle.HIGHEST_PROTOCOL,
             )
-        else:
-            kind = _RESULT
-            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-        _write_all(self._child_fd, bytes([kind]))
-        _write_all(self._child_fd, payload)
+        if self._report_fd is None:
+            self._finish()
+            _write_frame(self._out_fd, kind, self.adopted, payload)
+            return
+        _write_all(self._report_fd, _REPORT.pack(kind, len(payload)))
+        _write_all(self._report_fd, payload)
+        # Closing first lets the carrier fly on while this process is
+        # torn down.
+        os.close(self._report_fd)
         os._exit(0)
 
     def __call__(self, harness: "SimulationHarness") -> None:
-        """The fork hook: fork every scenario due at this boundary."""
+        """The fork hook: start every scenario due at this boundary."""
         forks = self._forks
         while self._next < len(forks) and harness.time >= forks[self._next][0]:
             index = forks[self._next][1]
             self._next += 1
+            if self._next == len(forks) and not self._golden:
+                # Nothing wants the rest of the golden flight: fly the
+                # last scenario here rather than in one more fork.
+                self._drain(self._concurrency - 1)
+                self._adopt(harness, index)
+                return
             if self._fork(harness, index):
                 return
         if self._next < len(forks):
             harness.set_fork_hook(self, forks[self._next][0])
-        elif self._golden:
-            harness.set_fork_hook(None, math.inf)
         else:
-            # Every fork is done and no empty scenario wants the golden
-            # result: the rest of the flight would be wasted.
-            os._exit(0)
+            harness.set_fork_hook(None, math.inf)
+
+    def _adopt(self, harness: "SimulationHarness", index: int) -> None:
+        self.adopted = index
+        harness.set_fork_hook(None, math.inf)
+        harness.adopt_scenario(self._scenarios[index])
 
     def _fork(self, harness: "SimulationHarness", index: int) -> bool:
         """Fork one child for scenario ``index``; True in the child."""
@@ -312,18 +350,55 @@ class _Carrier:
         if pid == 0:
             os.close(read_fd)
             os.close(self._out_fd)
-            self.adopted = index
-            self._child_fd = write_fd
-            harness.set_fork_hook(None, math.inf)
-            harness.adopt_scenario(self._scenarios[index])
+            for _, fd, _ in self._children.values():
+                os.close(fd)
+            self._children = {}
+            self._exited = []
+            self._report_fd = write_fd
+            self._adopt(harness, index)
             return True
         os.close(write_fd)
-        _write_frame(self._out_fd, _PID, pid)
-        payload = _read_all(read_fd)
-        os.close(read_fd)
-        _, status = os.waitpid(pid, 0)
-        if status == 0 and payload:
-            _write_frame(self._out_fd, payload[0], index, memoryview(payload)[1:])
-        else:
-            _write_frame(self._out_fd, _LOST, index)
+        self._children[pid] = (index, read_fd, bytearray())
+        _write_frame(self._out_fd, _PID, index, _PID_PAYLOAD.pack(pid))
+        self._drain(self._concurrency - 1)
         return False
+
+    def _drain(self, limit: int) -> None:
+        """Forward children's reports until at most ``limit`` still run."""
+        while len(self._children) > limit:
+            fds = {fd: pid for pid, (_, fd, _) in self._children.items()}
+            ready, _, _ = select.select(list(fds), [], [])
+            for fd in ready:
+                pid = fds[fd]
+                index, _, data = self._children[pid]
+                chunk = os.read(fd, 1 << 20)
+                if chunk:
+                    data += chunk
+                    continue
+                os.close(fd)
+                del self._children[pid]
+                self._exited.append(pid)
+                self._relay(index, data)
+        self._reap(block=False)
+
+    def _relay(self, index: int, data: bytearray) -> None:
+        """Forward one child's report, or ``_LOST`` unless it is whole."""
+        if len(data) >= _REPORT.size:
+            kind, length = _REPORT.unpack_from(data)
+            if len(data) == _REPORT.size + length:
+                _write_frame(
+                    self._out_fd, kind, index, memoryview(data)[_REPORT.size:]
+                )
+                return
+        _write_frame(self._out_fd, _LOST, index)
+
+    def _reap(self, block: bool) -> None:
+        for pid in list(self._exited):
+            done, _ = os.waitpid(pid, 0 if block else os.WNOHANG)
+            if done:
+                self._exited.remove(pid)
+
+    def _finish(self) -> None:
+        """Wait for every child: none may outlive the carrier."""
+        self._drain(0)
+        self._reap(block=True)

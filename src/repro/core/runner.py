@@ -433,11 +433,9 @@ class SimulationHarness:
         # scheduled checkpoints through ``add_planned_events`` at bind
         # time, and mode transitions / tight separation are fed in as
         # the run observes them.
-        self._planner: Optional[StepPlanner] = None
-        if config.stepper == "adaptive":
-            self._planner = StepPlanner(
-                dt=config.dt, event_times=_fault_boundaries(scenario)
-            )
+        self._planner: Optional[StepPlanner] = config.step_planner(
+            _fault_boundaries(scenario)
+        )
         self._last_labels: Optional[List[str]] = None
         self._refine_separation_m = (
             separation_threshold + PROXIMITY_REFINE_MARGIN_M
@@ -738,7 +736,7 @@ class SimulationHarness:
             unit.scheduler.adopt_scenario(scenario.vehicle_view(unit.vehicle))
         if self.traffic is not None:
             self.traffic.adopt_faults(scenario.traffic_faults)
-        if self._monitor is not None and hasattr(self._monitor, "adopt_scenario"):
+        if self._monitor is not None:
             self._monitor.adopt_scenario(scenario)
         if self._planner is not None:
             self._planner.add_events(_fault_boundaries(scenario))
@@ -958,21 +956,40 @@ class TestRunner:
                 obs.metrics.counter("run.flight_events", kind=event.kind).inc()
         return result
 
-    def run_batch(self, scenarios: Sequence[FaultScenario]) -> Iterator[RunResult]:
+    def run_batch(
+        self, scenarios: Sequence[FaultScenario], concurrency: int = 1
+    ) -> Iterator[RunResult]:
         """Run ``scenarios`` in order, yielding each result from :meth:`run`.
 
         The batch's fault-free prefix is flown once and forked per
-        scenario (:mod:`repro.core.prefix`) whenever that is exact; the
-        results are the ones in-process runs give, and each still comes
-        back through :meth:`run` in this process.
+        scenario whenever that is exact (:meth:`run_shared`); the rest
+        run in-process.  The results are the ones in-process runs give.
         """
-        shared = share_prefix(self, scenarios)
-        if shared is not None:
-            self.lost_forks += shared.lost
+        shared = self.run_shared(scenarios, concurrency)
         for index, scenario in enumerate(scenarios):
-            if shared is not None and index in shared.outcomes:
+            yield shared[index] if index in shared else self.run(scenario)
+
+    def run_shared(
+        self, scenarios: Sequence[FaultScenario], concurrency: int = 1
+    ) -> Dict[int, RunResult]:
+        """Run what forks of the batch's golden prefix can deliver.
+
+        Flies the prefix once (:mod:`repro.core.prefix`), with at most
+        ``concurrency`` simulations running at a time, and returns
+        ``{index: result}`` for the scenarios it delivered -- each handed
+        out through :meth:`run` in this process.  The others must run
+        in-process.
+        """
+        shared = share_prefix(self, scenarios, concurrency)
+        if shared is None:
+            return {}
+        self.lost_forks += shared.lost
+        results: Dict[int, RunResult] = {}
+        for index, scenario in enumerate(scenarios):
+            if index in shared.outcomes:
                 self._adopted = (scenario, shared.outcomes.pop(index))
-            yield self.run(scenario)
+                results[index] = self.run(scenario)
+        return results
 
     def _fly(
         self,

@@ -20,13 +20,15 @@ Three backends ship with the engine:
   sharing its fault-free prefix.  The reference implementation and the
   fallback everywhere a process pool is unavailable.
 * :class:`ProcessPoolBackend` -- fans the batch out over a
-  ``multiprocessing`` pool using the ``fork`` start method, in
-  contiguous chunks by fork time.  Fork (not
-  spawn) matters: run configurations carry workload factories that are
-  frequently lambdas, which cannot be pickled; with fork the workers
-  inherit the parent's context and only the scenarios and results cross
-  the process boundary.  On platforms without ``fork`` the backend
-  degrades to serial execution instead of failing.
+  ``multiprocessing`` pool using the ``fork`` start method.  A batch
+  that shares its prefix goes to one worker, whose carrier keeps up to
+  ``max_workers`` forked runs going; any other batch is spread one
+  scenario per task.  Fork (not spawn) matters: run configurations
+  carry workload factories that are frequently lambdas, which cannot be
+  pickled; with fork the workers inherit the parent's context and only
+  the scenarios and results cross the process boundary.  On platforms
+  without ``fork`` the backend degrades to serial execution instead of
+  failing.
 * :class:`RemoteBackend` -- ships tasks to worker processes over TCP
   (length-prefixed JSON frames, see :mod:`repro.engine.remote`), either
   self-spawned loopback fork-workers or externally started endpoints.
@@ -50,10 +52,10 @@ import queue
 import threading
 import time
 import warnings
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration
-from repro.core.prefix import fork_time
+from repro.core.prefix import can_share
 from repro.core.runner import RunResult, TestRunner
 from repro.hinj.faults import FaultScenario
 from repro.obs import runtime as obs_runtime
@@ -69,64 +71,45 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _run_chunk(
-    items: List[Tuple[int, FaultScenario]]
-) -> List[Tuple[int, RunResult, Optional[Tuple[int, float, float]]]]:
-    """Execute a contiguous chunk of (submission index, scenario) pairs
-    inside a forked worker, through the serial batch path (so the chunk
-    shares its fault-free prefix).
+def _run_one(scenario: FaultScenario) -> RunResult:
+    """Execute one scenario inside a forked worker."""
+    assert _WORKER_CONTEXT is not None
+    config, monitor = _WORKER_CONTEXT
+    return TestRunner(config, monitor=monitor).run(scenario)
 
-    The indices ride along so the parent can collect chunks in whatever
-    order the pool finishes them and still reorder the batch back into
-    submission order.  When an observability runtime is installed
-    (workers inherit it at fork), a ``(worker pid, start clock, execute
-    seconds)`` triple rides along with each result -- ``perf_counter``
+
+def _run_indexed(
+    item: Tuple[int, FaultScenario]
+) -> Tuple[int, RunResult, Optional[Tuple[int, float, float]]]:
+    """Execute one (submission index, scenario) pair inside a worker.
+
+    The index rides along so the parent can collect completions in
+    whatever order the pool finishes them and still reorder the batch
+    back into submission order.  When an observability runtime is
+    installed (workers inherit it at fork), a ``(worker pid, start
+    clock, execute seconds)`` triple rides along too -- ``perf_counter``
     is CLOCK_MONOTONIC-backed on Linux and therefore comparable across
     forked processes, which is what lets the parent split queue wait
     from execute time.
     """
+    index, scenario = item
+    if obs_runtime.current() is None:
+        return index, _run_one(scenario), None
+    start = time.perf_counter()
+    result = _run_one(scenario)
+    execute_s = time.perf_counter() - start
+    return index, result, (os.getpid(), start, execute_s)
+
+
+def _run_shared(
+    scenarios: List[FaultScenario], concurrency: int
+) -> Dict[int, RunResult]:
+    """Run what a batch's shared fault-free prefix delivers, inside one
+    forked worker, with up to ``concurrency`` simulations (the carrier's
+    and its children's) running at a time."""
     assert _WORKER_CONTEXT is not None
     config, monitor = _WORKER_CONTEXT
-    batch = TestRunner(config, monitor=monitor).run_batch(
-        [scenario for _, scenario in items]
-    )
-    observed = obs_runtime.current() is not None
-    done = []
-    for index, _ in items:
-        start = time.perf_counter() if observed else 0.0
-        result = next(batch)
-        timing = None
-        if observed:
-            timing = (os.getpid(), start, time.perf_counter() - start)
-        done.append((index, result, timing))
-    return done
-
-
-#: Contiguous chunks per pool worker.  Early-forking scenarios carry
-#: the longest faulted suffixes, so one chunk per worker leaves the
-#: worker holding the earliest forks with the most work; two per worker,
-#: handed out as workers free up, even the load while each chunk still
-#: shares its prefix.
-CHUNKS_PER_WORKER = 2
-
-
-def _chunks(
-    config: RunConfiguration, scenarios: Sequence[FaultScenario], count: int
-) -> List[List[Tuple[int, FaultScenario]]]:
-    """Split the batch into ``count`` contiguous chunks by fork time, so
-    scenarios that leave the golden flight together share a carrier."""
-    ordered = sorted(
-        enumerate(scenarios), key=lambda item: (fork_time(config, item[1]), item[0])
-    )
-    size, extra = divmod(len(ordered), count)
-    chunks = []
-    start = 0
-    for chunk in range(count):
-        end = start + size + (1 if chunk < extra else 0)
-        if end > start:
-            chunks.append(ordered[start:end])
-        start = end
-    return chunks
+    return TestRunner(config, monitor=monitor).run_shared(scenarios, concurrency)
 
 
 class ExecutionBackend(abc.ABC):
@@ -259,20 +242,32 @@ class ProcessPoolBackend(ExecutionBackend):
             )
 
         pool = self._ensure_pool(config, monitor)
+        slots: List[Optional[RunResult]] = [None] * len(scenarios)
+        if can_share(config, scenarios):
+            # One worker flies the batch's fault-free prefix once and
+            # keeps up to max_workers simulations running, forked off it
+            # (repro.core.prefix); splitting the batch over the workers
+            # would fly the prefix once per worker.  What it cannot
+            # deliver is spread over the pool below.
+            shared = pool.apply(_run_shared, (list(scenarios), self._max_workers))
+            for index, result in sorted(shared.items()):
+                slots[index] = result
+                if on_result is not None:
+                    on_result(index, result)
         obs = obs_runtime.current()
         submit_clock = time.perf_counter() if obs is not None else 0.0
-        # Workers take contiguous chunks of the batch sorted by fork
-        # time and run each through the serial batch path, so a chunk
-        # shares its fault-free prefix.  Chunks complete in any order;
-        # the indices that rode along restore submission order.
-        slots: List[Optional[RunResult]] = [None] * len(scenarios)
-        chunks = _chunks(config, scenarios, CHUNKS_PER_WORKER * self._max_workers)
-        completed = (
-            item
-            for done in pool.imap_unordered(_run_chunk, chunks)
-            for item in done
-        )
-        for index, result, timing in completed:
+        # In-flight scheduling: collect completions as the workers finish
+        # them (imap_unordered has no head-of-line blocking, so a slow
+        # scenario never stalls the progress callback behind it) and
+        # reorder into submission order via the indices that rode along.
+        pending = [
+            (index, scenario)
+            for index, scenario in enumerate(scenarios)
+            if slots[index] is None
+        ]
+        for index, result, timing in pool.imap_unordered(
+            _run_indexed, pending, chunksize=1
+        ):
             if obs is not None and timing is not None:
                 worker_pid, start_clock, execute_s = timing
                 worker = f"pid{worker_pid}"

@@ -100,6 +100,17 @@ class StepPlanner:
         if settle_end > self._settle_until:
             self._settle_until = settle_end
 
+    @property
+    def reaction_lead_s(self) -> float:
+        """How far ahead of a boundary the planner first reacts to it.
+
+        :meth:`plan` never asks about a window longer than
+        ``max_stride`` steps, and :meth:`quiescent` looks ``horizon_s``
+        past a window's end, so no decision taken at ``now`` depends on
+        a boundary ``b`` with ``now + reaction_lead_s < b``.
+        """
+        return self.max_stride * self.dt + self.horizon_s
+
     def quiescent(self, now: float, window_end: float) -> bool:
         """True when no boundary affects the window ``[now, window_end]``.
 

@@ -5,6 +5,7 @@ each scenario's first injection (:mod:`repro.core.prefix`).  These tests
 push the whole golden-digest corpus through batches -- serial and pool,
 both steppers -- and require every pinned digest unchanged, then cover
 the edges (a fault at t=0, a fault after the flight, an empty scenario,
+a carrier flying the last scenario itself, several forked runs at once,
 an installed observability runtime) and the failure paths: a child that
 raises, a child that dies, a carrier that dies.  No forked process may
 outlive its batch.
@@ -20,11 +21,11 @@ import pytest
 
 from repro.core import prefix
 from repro.core.runner import TestRunner
-from repro.engine import backends
 from repro.engine.backends import ProcessPoolBackend, SerialBackend
 from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
 from repro.obs import runtime as obs_runtime
 from repro.sensors.base import SensorId, SensorType
+from repro.sim.planner import StepPlanner
 from repro.workloads.builtin import AutoWorkload
 
 from test_golden_digests import (
@@ -36,6 +37,9 @@ from test_golden_digests import (
     _monitor,
     result_digest,
 )
+
+GPS = SensorId(SensorType.GPS, 0)
+BARO = SensorId(SensorType.BAROMETER, 0)
 
 #: The reference-stepper auto cases the edge and failure tests batch.
 AUTO_CASES = ("auto/gps-burst", "auto/baro-12s", "auto/accel-late", "auto/golden")
@@ -52,8 +56,8 @@ def shared_log(tmp_path, monkeypatch):
     log = tmp_path / "shared.log"
     original = prefix.share_prefix
 
-    def recording(runner, scenarios):
-        batch = original(runner, scenarios)
+    def recording(runner, scenarios, concurrency=1):
+        batch = original(runner, scenarios, concurrency)
         with open(log, "a", encoding="utf-8") as stream:
             stream.write(f"{len(batch.outcomes) if batch else 0}\n")
         return batch
@@ -84,37 +88,44 @@ def test_batched_corpus_matches_pinned_digests(backend_name, stepper, shared_log
             results = backend.run_scenarios(config, _monitor(family), scenarios)
             digests = {case: result_digest(r) for case, r in zip(cases, results)}
             assert digests == {case: GOLDEN_DIGESTS[(case, stepper)] for case in cases}
-            chunks = (
-                [scenarios]
-                if backend_name == "serial"
-                else backends._chunks(
-                    config, scenarios, backends.CHUNKS_PER_WORKER * 2
-                )
-            )
-            expected_shared += sum(len(c) for c in chunks if len(c) >= 2)
+            if len(scenarios) >= 2:
+                expected_shared += len(scenarios)
     finally:
         backend.close()
-    # Every batch (or pool chunk) of two or more really was forked.
+    # Every batch of two or more really was forked, on the pool too.
     assert expected_shared > 0
     assert shared_log() == expected_shared
 
 
 def test_fork_time_leads_the_adaptive_planner():
     scenario = FaultScenario([FaultSpec(SensorId(SensorType.GPS, 0), 6.0)])
-    reference = prefix.fork_time(_auto(), scenario)
-    adaptive = prefix.fork_time(_auto(stepper="adaptive"), scenario)
-    assert adaptive < reference < 6.0
-    assert prefix.fork_time(_auto(), EMPTY_SCENARIO) == math.inf
-
-
-def test_pool_chunks_are_contiguous_in_fork_time():
     config = _auto()
-    scenarios = [
-        FaultScenario([FaultSpec(SensorId(SensorType.GPS, 0), start)])
-        for start in (30.0, 5.0, 20.0, 10.0, 25.0)
+    reference = prefix.fork_time(config, scenario)
+    adaptive_config = _auto(stepper="adaptive")
+    adaptive = prefix.fork_time(adaptive_config, scenario)
+    assert reference == 6.0 - prefix.FORK_MARGIN_STEPS * config.dt
+    assert adaptive == reference - adaptive_config.step_planner().reaction_lead_s
+    assert prefix.fork_time(config, EMPTY_SCENARIO) == math.inf
+
+
+def test_planner_reacts_no_earlier_than_its_reaction_lead():
+    planner = StepPlanner(dt=0.02, event_times=[10.0])
+    before = 10.0 - planner.reaction_lead_s - 0.01
+    assert planner.plan(before, planner.max_stride) == planner.max_stride
+    assert planner.plan(before + 0.02, planner.max_stride) == 1
+
+
+def test_can_share_needs_two_prefixes_and_no_obs_runtime():
+    config = _auto()
+    late = [
+        FaultScenario([FaultSpec(GPS, 6.0)]),
+        FaultScenario([FaultSpec(BARO, 12.0)]),
     ]
-    chunks = backends._chunks(config, scenarios, 2)
-    assert [[index for index, _ in chunk] for chunk in chunks] == [[1, 3, 2], [4, 0]]
+    assert prefix.can_share(config, late)
+    assert not prefix.can_share(config, late[:1])
+    assert not prefix.can_share(config, [FaultScenario([FaultSpec(GPS, 0.0)])] * 2)
+    with obs_runtime.observed():
+        assert not prefix.can_share(config, late)
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +142,6 @@ def _batch(config, scenarios):
     runner = TestRunner(config, monitor=_monitor("auto"))
     digests = [result_digest(result) for result in runner.run_batch(scenarios)]
     return runner, digests
-
-
-GPS = SensorId(SensorType.GPS, 0)
-BARO = SensorId(SensorType.BAROMETER, 0)
 
 
 @pytest.mark.parametrize("stepper", STEPPERS)
@@ -174,6 +181,40 @@ def test_empty_scenario_takes_the_carrier_golden_run():
     assert digests == _fresh_digests(config, scenarios)
     assert runner.shared_prefix_runs == 3
     assert runner.runs_executed == 3
+
+
+@pytest.mark.parametrize("concurrency", (1, 3))
+def test_carrier_flies_the_last_scenario_itself(concurrency):
+    """Without an empty scenario nothing wants the rest of the golden
+    flight, so the carrier adopts the last-forking scenario."""
+    cases = [case for case in AUTO_CASES if case != "auto/golden"]
+    scenarios = [CORPUS[case][1] for case in cases]
+
+    def batch():
+        runner = TestRunner(_auto(), monitor=_monitor("auto"))
+        results = runner.run_batch(scenarios, concurrency=concurrency)
+        return [result_digest(r) for r in results], runner.shared_prefix_runs
+
+    _monitor("auto")
+    digests, shared = _in_fresh_process(batch)
+    assert digests == [GOLDEN_DIGESTS[(case, "reference")] for case in cases]
+    assert shared == len(cases)
+
+
+def test_pool_spreads_what_the_prefix_cannot_deliver():
+    config = _auto()
+    scenarios = [
+        FaultScenario([FaultSpec(GPS, 6.0)]),
+        FaultScenario([FaultSpec(BARO, 500.0)]),
+        FaultScenario([FaultSpec(BARO, 12.0)]),
+        FaultScenario([FaultSpec(GPS, 0.0)]),
+    ]
+    backend = ProcessPoolBackend(2)
+    try:
+        results = backend.run_scenarios(config, _monitor("auto"), scenarios)
+    finally:
+        backend.close()
+    assert [result_digest(r) for r in results] == _fresh_digests(config, scenarios)
 
 
 def test_installed_obs_runtime_keeps_runs_in_process():
@@ -264,8 +305,8 @@ def _in_fresh_process(function):
     return value
 
 
-def _sabotaged_batch(action, **kwargs):
-    scenarios = [CORPUS[case][1] for case in AUTO_CASES]
+def _sabotaged_batch(action, cases=AUTO_CASES, **kwargs):
+    scenarios = [CORPUS[case][1] for case in cases]
     config = replace(
         _auto(),
         workload_factory=lambda: _Sabotaged(action, batch_pid, **kwargs),
@@ -304,6 +345,32 @@ def test_dead_child_reruns_in_process():
     assert outcome["digests"] == PINNED_AUTO
     assert outcome["lost"] == 1
     assert outcome["shared"] == len(AUTO_CASES) - 1
+
+
+def test_exception_in_the_carrier_flown_scenario_reraises():
+    _monitor("auto")
+    cases = [case for case in AUTO_CASES if case != "auto/golden"]
+    target = CORPUS["auto/accel-late"][1]
+    outcome = _in_fresh_process(
+        lambda: _sabotaged_batch("raise", target=target, cases=cases)
+    )
+    error_type, message = outcome["error"]
+    assert error_type == "ValueError"
+    assert "Traceback (most recent call last)" in message
+
+
+def test_killed_carrier_flying_the_last_scenario_reruns_it():
+    _monitor("auto")
+    cases = [case for case in AUTO_CASES if case != "auto/golden"]
+    target = CORPUS["auto/accel-late"][1]
+    outcome = _in_fresh_process(
+        lambda: _sabotaged_batch("kill", target=target, cases=cases)
+    )
+    assert outcome["digests"] == [
+        GOLDEN_DIGESTS[(case, "reference")] for case in cases
+    ]
+    assert outcome["lost"] == 1
+    assert outcome["shared"] == len(cases) - 1
 
 
 def test_killed_carrier_gives_in_process_results():
