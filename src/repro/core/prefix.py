@@ -8,37 +8,31 @@ fault, and the adaptive planner reacts to a boundary only a bounded
 lead ahead of it.  A batch therefore needs to fly that common prefix
 once.
 
-:func:`share_prefix` forks one **carrier** process per batch.  The
-carrier flies ``EMPTY_SCENARIO`` and, at the last window boundary before
-each scenario's :func:`fork_time`, ``os.fork()``\\ s a child.  The child
-adopts the scenario (:meth:`SimulationHarness.adopt_scenario`), finishes
-the workload on the call stack it inherited, and reports the pickled
-``build_result`` output.  With ``concurrency=1`` (the serial backend)
-the carrier waits for each child before it flies on, so only one
-simulation runs at a time; with ``concurrency=N`` (the process pool) it
-flies on while up to ``N - 1`` children run.  A batch's empty scenarios
-take the carrier's own golden result; when none asks for it, the
-carrier flies the batch's last-forking scenario itself instead of
-forking it.  The caller then hands every result out through
-``TestRunner.run``, so monitor evaluation and run accounting happen in
-the calling process exactly as for an in-process run.
+:func:`share_prefix` flies ``EMPTY_SCENARIO`` in the calling process
+and, at the last window boundary before each scenario's
+:func:`fork_time`, ``os.fork()``\\ s a child.  The child adopts the
+scenario (:meth:`SimulationHarness.adopt_scenario`), finishes the
+workload on the call stack it inherited, writes one ``_REPORT`` header
+(kind, payload length) plus the pickled ``build_result`` output to a
+pipe of its own, and exits.  With ``concurrency=1`` (the serial
+backend) the caller waits for each child before it flies on, so only
+one simulation runs at a time; with ``concurrency=N`` (a pool worker)
+it flies on while up to ``N - 1`` children run.  The golden result goes
+to the batch's empty scenarios and to every scenario whose fork point
+the flight never reached (it ended or aborted first, so that scenario
+flies the same flight); when nothing wants it, the caller flies the
+batch's last-forking scenario itself instead of forking it.  The caller
+then hands every result out through ``TestRunner.run``, so monitor
+evaluation and run accounting happen exactly as for an in-process run.
 
-Wire format: the carrier writes frames (``_HEADER``: kind, scenario
-index, payload length) to a pipe the caller reads.  ``_PID`` announces
-a child about to run (payload: its pid) so the caller can kill it if
-the carrier dies; ``_RESULT``/``_ERROR``/``_LOST`` close a scenario.  A
-child writes one ``_REPORT`` header (kind, payload length) plus its
-payload to a pipe of its own, which the carrier forwards only once it
-arrived whole: a child that dies mid-write yields a ``_LOST`` frame,
-never a torn one.
-
-Sharing never changes a result.  Whatever does not come back as a
-complete frame -- the carrier's golden flight ended or aborted first, a
-child died, the carrier died -- is simply run in-process by the caller.
+Sharing never changes a result.  Whatever does not come back whole -- a
+child died or wrote a torn report, or the golden flight raised before
+the scenario's fork -- is simply run in-process by the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -57,10 +51,8 @@ from repro.obs import runtime as obs_runtime
 if TYPE_CHECKING:
     from repro.core.runner import SimulationHarness, TestRunner
 
-_HEADER = struct.Struct("!Bqq")
 _REPORT = struct.Struct("!Bq")
-_PID_PAYLOAD = struct.Struct("!q")
-_PID, _RESULT, _ERROR, _LOST = range(4)
+_RESULT, _ERROR = range(2)
 
 #: Safety margin, in time-steps, between a fork and the first moment a
 #: scenario's fault could be observed (sensor reads happen at a window's
@@ -114,12 +106,12 @@ def can_share(config: RunConfiguration, scenarios: Sequence[FaultScenario]) -> b
 
 @dataclass
 class SharedBatch:
-    """What the carrier sent back for one batch.
+    """What a shared prefix delivered for one batch.
 
     ``outcomes`` maps a scenario index to its :class:`RunResult` or to
     the exception its run raised; indices without an entry must run
-    in-process.  ``lost`` counts forked processes (children and the
-    carrier) that died before finishing their part.
+    in-process.  ``lost`` counts forked children that died before
+    reporting whole.
     """
 
     outcomes: Dict[int, object] = field(default_factory=dict)
@@ -129,7 +121,7 @@ class SharedBatch:
 def share_prefix(
     runner: "TestRunner", scenarios: Sequence[FaultScenario], concurrency: int = 1
 ) -> Optional[SharedBatch]:
-    """Fly ``scenarios``' common golden prefix once in a carrier process,
+    """Fly ``scenarios``' common golden prefix once in this process,
     with at most ``concurrency`` simulations running at a time.
 
     Returns None -- run everything in-process -- when :func:`can_share`
@@ -137,80 +129,13 @@ def share_prefix(
     """
     if threading.active_count() > 1 or not can_share(runner.config, scenarios):
         return None
-    plan = fork_plan(runner.config, scenarios)
-    forks = [(at, index) for at, index in plan if at != math.inf]
-    golden = [index for at, index in plan if at == math.inf]
-
-    read_fd, write_fd = os.pipe()
+    flight = _PrefixFlight(runner, scenarios, max(1, concurrency))
     try:
-        carrier = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if carrier == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            _Carrier(
-                runner, scenarios, forks, golden, write_fd, max(1, concurrency)
-            ).fly()
-            status = 0
-        finally:
-            # A forked process must never return into the caller's
-            # stack (or run its exit handlers).
-            os._exit(status)
-    os.close(write_fd)
-    return _collect(carrier, read_fd)
-
-
-def _collect(carrier: int, read_fd: int) -> SharedBatch:
-    """Read the carrier's frames until EOF, then reap it."""
-    batch = SharedBatch()
-    #: Scenario index -> pid of the child announced to be flying it.
-    running: Dict[int, int] = {}
-    finished = False
-    with os.fdopen(read_fd, "rb") as stream:
-        try:
-            while True:
-                header = stream.read(_HEADER.size)
-                if len(header) < _HEADER.size:
-                    break
-                kind, index, length = _HEADER.unpack(header)
-                payload = stream.read(length)
-                if len(payload) < length:
-                    break
-                if kind == _PID:
-                    running[index] = _PID_PAYLOAD.unpack(payload)[0]
-                    continue
-                running.pop(index, None)
-                if kind == _RESULT:
-                    batch.outcomes[index] = pickle.loads(payload)
-                elif kind == _ERROR:
-                    error = _rebuild_error(*pickle.loads(payload))
-                    if error is not None:
-                        batch.outcomes[index] = error
-                elif kind == _LOST:
-                    batch.lost += 1
-            finished = True
-        finally:
-            if not finished:
-                _kill(carrier)
-            for pid in running.values():
-                # The carrier died while these children ran: they are
-                # orphaned, and nobody will read their results.
-                _kill(pid)
-            _, status = os.waitpid(carrier, 0)
-    if status != 0:
-        batch.lost += 1
-    return batch
-
-
-def _kill(pid: int) -> None:
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
+        return flight.fly()
+    except BaseException:
+        # No forked run may outlive its batch.
+        flight.kill()
+        raise
 
 
 def _rebuild_error(
@@ -228,11 +153,6 @@ def _rebuild_error(
         return None
 
 
-def _write_frame(fd: int, kind: int, index: int, payload=b"") -> None:
-    _write_all(fd, _HEADER.pack(kind, index, len(payload)))
-    _write_all(fd, payload)
-
-
 def _write_all(fd: int, data) -> None:
     view = memoryview(data)
     while view:
@@ -240,42 +160,68 @@ def _write_all(fd: int, data) -> None:
         view = view[written:]
 
 
-class _Carrier:
-    """The carrier's golden flight and the fork hook it installs.
+class _PrefixFlight:
+    """One batch's golden flight and the fork hook it installs.
 
     After a fork, the same object lives on in the child with
-    ``adopted`` set; :meth:`fly` then reports the child's run instead
-    of the carrier's.  The carrier itself sets ``adopted`` when it flies
-    the batch's last scenario.
+    ``adopted`` set and a report pipe; :meth:`fly` then reports the
+    child's run and exits instead of returning.  The caller sets
+    ``adopted`` when it flies the batch's last scenario itself.
     """
 
     def __init__(
         self,
         runner: "TestRunner",
         scenarios: Sequence[FaultScenario],
-        forks: List[Tuple[float, int]],
-        golden: List[int],
-        out_fd: int,
         concurrency: int,
     ) -> None:
+        plan = fork_plan(runner.config, scenarios)
         self._runner = runner
         self._scenarios = scenarios
-        self._forks = forks
+        self._forks = [(at, index) for at, index in plan if at != math.inf]
         self._next = 0
-        self._golden = golden
-        self._out_fd = out_fd
+        self._golden = [index for at, index in plan if at == math.inf]
         self._concurrency = concurrency
+        self._batch = SharedBatch()
         #: Scenario index this process runs (None while it flies golden).
         self.adopted: Optional[int] = None
-        #: A forked child's report pipe (None in the carrier).
+        #: A forked child's report pipe (None in the caller).
         self._report_fd: Optional[int] = None
         #: Children still reporting: pid -> (index, report pipe, bytes).
         self._children: Dict[int, Tuple[int, int, bytearray]] = {}
         #: Children that reported and are still to be reaped.
         self._exited: List[int] = []
 
-    def fly(self) -> None:
-        """Fly the golden run, then report whatever this process ran."""
+    def fly(self) -> SharedBatch:
+        """Fly the golden run and collect what it and its forks ran."""
+        try:
+            outcome = self._outcome()
+            if self._report_fd is not None:
+                self._report(outcome)
+        except BaseException:
+            if self._report_fd is not None:
+                # A forked child must never return into the caller's
+                # stack (or run its exit handlers).
+                os._exit(1)
+            raise
+        self._finish()
+        if self.adopted is not None:
+            self._batch.outcomes[self.adopted] = outcome
+        elif not isinstance(outcome, Exception):
+            # The empty scenarios and those whose fork point this flight
+            # never reached: their runs are this flight.
+            unreached = [index for _, index in self._forks[self._next:]]
+            first, *others = self._golden + unreached
+            self._batch.outcomes[first] = outcome
+            if others:
+                # Each scenario gets a result object of its own.
+                payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                for index in others:
+                    self._batch.outcomes[index] = pickle.loads(payload)
+        return self._batch
+
+    def _outcome(self):
+        """This process's run: its result, or the exception it raised."""
         try:
             harness, workload, workload_result = self._runner._fly(
                 self._runner.config,
@@ -283,41 +229,32 @@ class _Carrier:
                 fork_hook=self,
                 fork_at=self._forks[0][0] if self._forks else math.inf,
             )
-            if self.adopted is None:
-                self._finish()
-                if self._golden:
-                    payload = pickle.dumps(
-                        harness.build_result(workload, workload_result),
-                        pickle.HIGHEST_PROTOCOL,
-                    )
-                    for index in self._golden:
-                        _write_frame(self._out_fd, _RESULT, index, payload)
-                return
-            kind = _RESULT
-            payload = pickle.dumps(
-                harness.build_result(workload, workload_result),
-                pickle.HIGHEST_PROTOCOL,
-            )
+            return harness.build_result(workload, workload_result)
         except Exception as error:
-            if self.adopted is None:
-                # Forked runs already under way are still exact.
-                self._finish()
-                raise
-            kind = _ERROR
-            payload = pickle.dumps(
-                (type(error), str(error), traceback.format_exc()),
-                pickle.HIGHEST_PROTOCOL,
-            )
-        if self._report_fd is None:
-            self._finish()
-            _write_frame(self._out_fd, kind, self.adopted, payload)
-            return
-        _write_all(self._report_fd, _REPORT.pack(kind, len(payload)))
-        _write_all(self._report_fd, payload)
-        # Closing first lets the carrier fly on while this process is
-        # torn down.
-        os.close(self._report_fd)
-        os._exit(0)
+            return error
+
+    def _report(self, outcome) -> None:
+        """Write this child's report to its pipe and exit."""
+        status = 1
+        try:
+            if isinstance(outcome, Exception):
+                kind = _ERROR
+                outcome = (
+                    type(outcome),
+                    str(outcome),
+                    "".join(traceback.format_exception(outcome)),
+                )
+            else:
+                kind = _RESULT
+            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            _write_all(self._report_fd, _REPORT.pack(kind, len(payload)))
+            _write_all(self._report_fd, payload)
+            # Closing first lets the caller fly on while this process is
+            # torn down.
+            os.close(self._report_fd)
+            status = 0
+        finally:
+            os._exit(status)
 
     def __call__(self, harness: "SimulationHarness") -> None:
         """The fork hook: start every scenario due at this boundary."""
@@ -346,10 +283,14 @@ class _Carrier:
     def _fork(self, harness: "SimulationHarness", index: int) -> bool:
         """Fork one child for scenario ``index``; True in the child."""
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if pid == 0:
             os.close(read_fd)
-            os.close(self._out_fd)
             for _, fd, _ in self._children.values():
                 os.close(fd)
             self._children = {}
@@ -359,12 +300,11 @@ class _Carrier:
             return True
         os.close(write_fd)
         self._children[pid] = (index, read_fd, bytearray())
-        _write_frame(self._out_fd, _PID, index, _PID_PAYLOAD.pack(pid))
         self._drain(self._concurrency - 1)
         return False
 
     def _drain(self, limit: int) -> None:
-        """Forward children's reports until at most ``limit`` still run."""
+        """Read children's reports until at most ``limit`` still run."""
         while len(self._children) > limit:
             fds = {fd: pid for pid, (_, fd, _) in self._children.items()}
             ready, _, _ = select.select(list(fds), [], [])
@@ -375,22 +315,27 @@ class _Carrier:
                 if chunk:
                     data += chunk
                     continue
-                os.close(fd)
                 del self._children[pid]
                 self._exited.append(pid)
-                self._relay(index, data)
+                os.close(fd)
+                self._receive(index, data)
         self._reap(block=False)
 
-    def _relay(self, index: int, data: bytearray) -> None:
-        """Forward one child's report, or ``_LOST`` unless it is whole."""
+    def _receive(self, index: int, data: bytearray) -> None:
+        """Take one child's report, or count the child lost unless the
+        report arrived whole."""
         if len(data) >= _REPORT.size:
             kind, length = _REPORT.unpack_from(data)
             if len(data) == _REPORT.size + length:
-                _write_frame(
-                    self._out_fd, kind, index, memoryview(data)[_REPORT.size:]
-                )
+                value = pickle.loads(memoryview(data)[_REPORT.size:])
+                if kind == _RESULT:
+                    self._batch.outcomes[index] = value
+                else:
+                    error = _rebuild_error(*value)
+                    if error is not None:
+                        self._batch.outcomes[index] = error
                 return
-        _write_frame(self._out_fd, _LOST, index)
+        self._batch.lost += 1
 
     def _reap(self, block: bool) -> None:
         for pid in list(self._exited):
@@ -399,6 +344,16 @@ class _Carrier:
                 self._exited.remove(pid)
 
     def _finish(self) -> None:
-        """Wait for every child: none may outlive the carrier."""
+        """Wait for every child: none may outlive the batch."""
         self._drain(0)
         self._reap(block=True)
+
+    def kill(self) -> None:
+        """Kill and reap every child (the caller is failing)."""
+        for pid, (_, fd, _) in self._children.items():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+        for pid in [*self._children, *self._exited]:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)

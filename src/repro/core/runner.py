@@ -483,7 +483,7 @@ class SimulationHarness:
         self._proximity_seen = 0
         self._max_steps = int(config.max_sim_time_s / config.dt)
         self._sample_interval = max(config.sample_interval_steps, 1)
-        # Shared fault-free prefix (repro.core.prefix): a carrier flying
+        # Shared fault-free prefix (repro.core.prefix): a batch flying
         # the golden run installs a hook that forks at ``_fork_at``.
         self._fork_at = math.inf
         self._fork_hook: Optional[Callable[["SimulationHarness"], None]] = None
@@ -890,6 +890,16 @@ class SimulationHarness:
         self._recorder.record_all(events)
 
 
+def count_flight_log(obs, log: Optional[FlightLog]) -> None:
+    """Add a run's phase seconds and flight events to ``obs``' metrics."""
+    if log is None:
+        return
+    for phase, seconds in log.phase_seconds.items():
+        obs.metrics.counter("run.phase_seconds", phase=phase).inc(seconds)
+    for event in log.events:
+        obs.metrics.counter("run.flight_events", kind=event.kind).inc()
+
+
 class TestRunner:
     """Runs workloads under fault scenarios, one fresh harness per run."""
 
@@ -949,11 +959,7 @@ class TestRunner:
         ) as span_args:
             result = self._run(scenario, noise_seed)
             span_args["unsafe"] = result.found_unsafe_condition
-        if result.flight_log is not None:
-            for phase, seconds in result.flight_log.phase_seconds.items():
-                obs.metrics.counter("run.phase_seconds", phase=phase).inc(seconds)
-            for event in result.flight_log.events:
-                obs.metrics.counter("run.flight_events", kind=event.kind).inc()
+        count_flight_log(obs, result.flight_log)
         return result
 
     def run_batch(

@@ -21,14 +21,14 @@ Three backends ship with the engine:
   fallback everywhere a process pool is unavailable.
 * :class:`ProcessPoolBackend` -- fans the batch out over a
   ``multiprocessing`` pool using the ``fork`` start method.  A batch
-  that shares its prefix goes to one worker, whose carrier keeps up to
-  ``max_workers`` forked runs going; any other batch is spread one
-  scenario per task.  Fork (not spawn) matters: run configurations
-  carry workload factories that are frequently lambdas, which cannot be
-  pickled; with fork the workers inherit the parent's context and only
-  the scenarios and results cross the process boundary.  On platforms
-  without ``fork`` the backend degrades to serial execution instead of
-  failing.
+  that shares its prefix goes to one worker, which flies the prefix and
+  keeps up to ``max_workers`` runs going (its own and forked ones); any
+  other batch is spread one scenario per task.  Fork (not spawn)
+  matters: run configurations carry workload factories that are
+  frequently lambdas, which cannot be pickled; with fork the workers
+  inherit the parent's context and only the scenarios and results cross
+  the process boundary.  On platforms without ``fork`` the backend
+  degrades to serial execution instead of failing.
 * :class:`RemoteBackend` -- ships tasks to worker processes over TCP
   (length-prefixed JSON frames, see :mod:`repro.engine.remote`), either
   self-spawned loopback fork-workers or externally started endpoints.
@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration
 from repro.core.prefix import can_share
-from repro.core.runner import RunResult, TestRunner
+from repro.core.runner import RunResult, TestRunner, count_flight_log
 from repro.hinj.faults import FaultScenario
 from repro.obs import runtime as obs_runtime
 
@@ -105,11 +105,21 @@ def _run_shared(
     scenarios: List[FaultScenario], concurrency: int
 ) -> Dict[int, RunResult]:
     """Run what a batch's shared fault-free prefix delivers, inside one
-    forked worker, with up to ``concurrency`` simulations (the carrier's
-    and its children's) running at a time."""
+    pool worker: the worker flies the prefix itself, with up to
+    ``concurrency`` simulations (its own and its forked children's)
+    running at a time."""
     assert _WORKER_CONTEXT is not None
     config, monitor = _WORKER_CONTEXT
     return TestRunner(config, monitor=monitor).run_shared(scenarios, concurrency)
+
+
+def _record_task(obs, worker: str, execute_s: float) -> None:
+    """Count one finished task against ``worker``."""
+    obs.metrics.counter("backend.worker_tasks", worker=worker).inc()
+    obs.metrics.counter("backend.worker_execute_seconds", worker=worker).inc(
+        execute_s
+    )
+    obs.metrics.histogram("backend.task_seconds").observe(execute_s)
 
 
 class ExecutionBackend(abc.ABC):
@@ -156,12 +166,7 @@ class SerialBackend(ExecutionBackend):
                 start = time.perf_counter()
             result = next(batch)
             if obs is not None:
-                execute_s = time.perf_counter() - start
-                obs.metrics.counter("backend.worker_tasks", worker="serial").inc()
-                obs.metrics.counter(
-                    "backend.worker_execute_seconds", worker="serial"
-                ).inc(execute_s)
-                obs.metrics.histogram("backend.task_seconds").observe(execute_s)
+                _record_task(obs, "serial", time.perf_counter() - start)
             results.append(result)
             if on_result is not None:
                 on_result(index, result)
@@ -271,27 +276,14 @@ class ProcessPoolBackend(ExecutionBackend):
             if obs is not None and timing is not None:
                 worker_pid, start_clock, execute_s = timing
                 worker = f"pid{worker_pid}"
-                obs.metrics.counter("backend.worker_tasks", worker=worker).inc()
-                obs.metrics.counter(
-                    "backend.worker_execute_seconds", worker=worker
-                ).inc(execute_s)
+                _record_task(obs, worker, execute_s)
                 obs.metrics.counter(
                     "backend.worker_queue_wait_seconds", worker=worker
                 ).inc(max(start_clock - submit_clock, 0.0))
-                obs.metrics.histogram("backend.task_seconds").observe(execute_s)
                 # Per-run phase metrics recorded inside the worker died
                 # with its registry; re-aggregate them from the flight
                 # log that travelled back with the result.
-                log = getattr(result, "flight_log", None)
-                if log is not None:
-                    for phase, seconds in log.phase_seconds.items():
-                        obs.metrics.counter(
-                            "run.phase_seconds", phase=phase
-                        ).inc(seconds)
-                    for event in log.events:
-                        obs.metrics.counter(
-                            "run.flight_events", kind=event.kind
-                        ).inc()
+                count_flight_log(obs, getattr(result, "flight_log", None))
             slots[index] = result
             if on_result is not None:
                 on_result(index, result)
@@ -462,15 +454,7 @@ class RemoteBackend(ExecutionBackend):
                 slots[index] = result
                 collected["count"] += 1
                 if obs is not None:
-                    obs.metrics.counter(
-                        "backend.worker_tasks", worker=label
-                    ).inc()
-                    obs.metrics.counter(
-                        "backend.worker_execute_seconds", worker=label
-                    ).inc(seconds)
-                    obs.metrics.histogram("backend.task_seconds").observe(
-                        seconds
-                    )
+                    _record_task(obs, label, seconds)
                 if on_result is not None:
                     on_result(index, result)
 

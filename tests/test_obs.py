@@ -18,6 +18,7 @@ from repro.core.avis import Avis
 from repro.core.runner import TestRunner
 from repro.core.strategies import RandomInjection
 from repro.core.strategies.avis_strategy import AvisStrategy
+from repro.engine.backends import ProcessPoolBackend
 from repro.hinj.faults import FaultScenario, FaultSpec
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import (
@@ -337,6 +338,38 @@ class TestBitIdentity:
                 short_auto_config, RandomInjection, 3.0, backend="pool:2"
             )
         assert _campaign_digest(pooled) == _campaign_digest(serial)
+
+    def test_pool_emits_per_worker_and_phase_metrics(self, short_auto_config):
+        gps = SensorId(SensorType.GPS, 0)
+        scenarios = [FaultScenario([FaultSpec(gps, at)]) for at in (3.0, 6.0, 9.0)]
+        backend = ProcessPoolBackend(2)
+        try:
+            with observed(Observability()) as obs:
+                backend.run_scenarios(short_auto_config, None, scenarios)
+        finally:
+            backend.close()
+        snapshot = obs.metrics.snapshot()
+        counters = snapshot["counters"]
+
+        def workers(name):
+            return {
+                key[len(name):]: value
+                for key, value in counters.items()
+                if key.startswith(name + "{worker=pid")
+            }
+
+        tasks = workers("backend.worker_tasks")
+        assert sum(tasks.values()) == len(scenarios)
+        assert set(workers("backend.worker_execute_seconds")) == set(tasks)
+        assert set(workers("backend.worker_queue_wait_seconds")) == set(tasks)
+        assert snapshot["histograms"]["backend.task_seconds"]["count"] == len(
+            scenarios
+        )
+        # Phase time recorded inside the workers is re-aggregated here.
+        assert any(
+            key.startswith("run.phase_seconds{phase=") and value > 0.0
+            for key, value in counters.items()
+        )
 
     def test_sabre_batched_campaign_identical_with_tracing_on(
         self, short_auto_config

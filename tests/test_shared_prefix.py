@@ -1,20 +1,22 @@
 """Shared fault-free prefix: forked runs are the runs in-process gives.
 
-A batch flies its golden run once in a carrier process and forks it at
-each scenario's first injection (:mod:`repro.core.prefix`).  These tests
-push the whole golden-digest corpus through batches -- serial and pool,
-both steppers -- and require every pinned digest unchanged, then cover
-the edges (a fault at t=0, a fault after the flight, an empty scenario,
-a carrier flying the last scenario itself, several forked runs at once,
-an installed observability runtime) and the failure paths: a child that
-raises, a child that dies, a carrier that dies.  No forked process may
-outlive its batch.
+A batch flies its golden run once in its own process and forks it at
+each scenario's first injection (:mod:`repro.core.prefix`).  These
+tests push the whole golden-digest corpus through batches -- serial and
+pool, both steppers -- and require every pinned digest unchanged, then
+cover the edges (a fault at t=0, a fault after the flight, an empty
+scenario, the batch process flying the last scenario itself, several
+forked runs at once, an installed observability runtime) and the
+failure paths: a child that raises or dies, and the batch process's own
+flight raising an exception or a ``KeyboardInterrupt``.  No forked
+process may outlive its batch.
 """
 
 import math
 import os
 import pickle
 import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -157,8 +159,11 @@ def test_fault_at_t0_runs_in_process(stepper):
     assert runner.shared_prefix_runs == 2
 
 
-def test_fault_after_the_flight_ends_runs_in_process():
-    config = _auto()
+@pytest.mark.parametrize("stepper", STEPPERS)
+def test_fault_after_the_flight_ends_takes_the_golden_result(stepper):
+    """A fork point the golden flight never reaches means the scenario
+    flies that same flight."""
+    config = _auto(stepper=stepper)
     scenarios = [
         FaultScenario([FaultSpec(GPS, 6.0)]),
         FaultScenario([FaultSpec(BARO, 12.0)]),
@@ -166,27 +171,31 @@ def test_fault_after_the_flight_ends_runs_in_process():
     ]
     runner, digests = _batch(config, scenarios)
     assert digests == _fresh_digests(config, scenarios)
-    assert runner.shared_prefix_runs == 2
+    assert runner.shared_prefix_runs == 3
     assert runner.lost_forks == 0
 
 
 def test_empty_scenario_takes_the_carrier_golden_run():
+    """The empty scenario and one past the flight's end each take their
+    own copy of the batch process's golden result."""
     config = _auto()
     scenarios = [
         FaultScenario([FaultSpec(BARO, 12.0)]),
         EMPTY_SCENARIO,
         FaultScenario([FaultSpec(GPS, 6.0)]),
+        FaultScenario([FaultSpec(BARO, 500.0)]),
     ]
-    runner, digests = _batch(config, scenarios)
-    assert digests == _fresh_digests(config, scenarios)
-    assert runner.shared_prefix_runs == 3
-    assert runner.runs_executed == 3
+    runner = TestRunner(config, monitor=_monitor("auto"))
+    results = list(runner.run_batch(scenarios))
+    assert [result_digest(r) for r in results] == _fresh_digests(config, scenarios)
+    assert runner.shared_prefix_runs == 4
+    assert runner.runs_executed == 4
 
 
 @pytest.mark.parametrize("concurrency", (1, 3))
 def test_carrier_flies_the_last_scenario_itself(concurrency):
     """Without an empty scenario nothing wants the rest of the golden
-    flight, so the carrier adopts the last-forking scenario."""
+    flight, so the batch process adopts the last-forking scenario."""
     cases = [case for case in AUTO_CASES if case != "auto/golden"]
     scenarios = [CORPUS[case][1] for case in cases]
 
@@ -247,33 +256,38 @@ def test_results_come_back_through_run():
 # Failures degrade, never corrupt
 # ----------------------------------------------------------------------
 class _Sabotaged(AutoWorkload):
-    """The auto mission, sabotaged only inside forked processes.
+    """The auto mission, sabotaged by ``acts``: ``(action, target,
+    after_s)`` triples that fire once a run of ``target`` is past
+    ``after_s``.
 
-    ``action`` is ``raise`` or ``kill`` (in the child flying
-    ``target``), or ``kill-carrier`` (in the carrier, once it is past
-    ``after_s``).  In the batch's own process it flies normally, so the
-    in-process fallback gives the pinned result.
+    ``raise``, ``kill`` and ``stall`` act in forked children only (a
+    stalled child kills itself after a minute).  An exception type is
+    raised once, in the batch's own process.  Everywhere else the
+    mission flies normally, so in-process re-runs give the pinned result.
     """
 
-    def __init__(self, action, batch_pid, target=None, after_s=0.0):
+    def __init__(self, acts, batch_pid, fired):
         super().__init__(altitude=8.0, init_wait_ms=1000.0)
-        self._action = action
+        self._acts = acts
         self._batch_pid = batch_pid
-        self._target = target
-        self._after_s = after_s
+        self._fired = fired
 
     def step(self, count=1):
         super().step(count)
-        if os.getpid() == self._batch_pid:
-            return
-        scenario = self._harness._scenario
-        if self._action == "kill-carrier":
-            if scenario.is_empty and self._harness.time > self._after_s:
+        in_batch = os.getpid() == self._batch_pid
+        for action, target, after_s in self._acts:
+            if self._harness._scenario != target or self._harness.time <= after_s:
+                continue
+            if isinstance(action, type):
+                if in_batch and not self._fired:
+                    self._fired.append(action)
+                    raise action("sabotaged flight")
+            elif not in_batch:
+                if action == "raise":
+                    raise ValueError("sabotaged flight")
+                if action == "stall":
+                    time.sleep(60.0)
                 os.kill(os.getpid(), signal.SIGKILL)
-        elif scenario == self._target:
-            if self._action == "raise":
-                raise ValueError("sabotaged flight")
-            os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _in_fresh_process(function):
@@ -305,17 +319,20 @@ def _in_fresh_process(function):
     return value
 
 
-def _sabotaged_batch(action, cases=AUTO_CASES, **kwargs):
+def _sabotaged_batch(acts, cases=AUTO_CASES, concurrency=1):
     scenarios = [CORPUS[case][1] for case in cases]
+    fired = []
     config = replace(
-        _auto(),
-        workload_factory=lambda: _Sabotaged(action, batch_pid, **kwargs),
+        _auto(), workload_factory=lambda: _Sabotaged(acts, batch_pid, fired)
     )
     batch_pid = os.getpid()
     runner = TestRunner(config, monitor=_monitor("auto"))
     try:
-        digests = [result_digest(result) for result in runner.run_batch(scenarios)]
-    except Exception as error:  # reported to the test process
+        digests = [
+            result_digest(result)
+            for result in runner.run_batch(scenarios, concurrency=concurrency)
+        ]
+    except BaseException as error:  # reported to the test process
         return {"error": (type(error).__name__, str(error))}
     return {
         "digests": digests,
@@ -329,8 +346,8 @@ PINNED_AUTO = [GOLDEN_DIGESTS[(case, "reference")] for case in AUTO_CASES]
 
 def test_child_exception_reraises_with_child_traceback():
     _monitor("auto")  # calibrate before forking
-    target = CORPUS["auto/baro-12s"][1]
-    outcome = _in_fresh_process(lambda: _sabotaged_batch("raise", target=target))
+    acts = [("raise", CORPUS["auto/baro-12s"][1], 0.0)]
+    outcome = _in_fresh_process(lambda: _sabotaged_batch(acts))
     error_type, message = outcome["error"]
     assert error_type == "ValueError"
     assert "sabotaged flight" in message
@@ -340,46 +357,50 @@ def test_child_exception_reraises_with_child_traceback():
 
 def test_dead_child_reruns_in_process():
     _monitor("auto")
-    target = CORPUS["auto/baro-12s"][1]
-    outcome = _in_fresh_process(lambda: _sabotaged_batch("kill", target=target))
+    acts = [("kill", CORPUS["auto/baro-12s"][1], 0.0)]
+    outcome = _in_fresh_process(lambda: _sabotaged_batch(acts))
     assert outcome["digests"] == PINNED_AUTO
     assert outcome["lost"] == 1
     assert outcome["shared"] == len(AUTO_CASES) - 1
 
 
 def test_exception_in_the_carrier_flown_scenario_reraises():
+    """The last scenario, flown by the batch process itself, raises its
+    own exception -- not one rebuilt from a child's report."""
     _monitor("auto")
     cases = [case for case in AUTO_CASES if case != "auto/golden"]
-    target = CORPUS["auto/accel-late"][1]
-    outcome = _in_fresh_process(
-        lambda: _sabotaged_batch("raise", target=target, cases=cases)
-    )
-    error_type, message = outcome["error"]
-    assert error_type == "ValueError"
-    assert "Traceback (most recent call last)" in message
+    acts = [(ValueError, CORPUS["auto/accel-late"][1], 0.0)]
+    outcome = _in_fresh_process(lambda: _sabotaged_batch(acts, cases=cases))
+    assert outcome["error"] == ("ValueError", "sabotaged flight")
 
 
-def test_killed_carrier_flying_the_last_scenario_reruns_it():
+def test_exception_in_the_golden_flight_reruns_the_rest_in_process():
     _monitor("auto")
-    cases = [case for case in AUTO_CASES if case != "auto/golden"]
-    target = CORPUS["auto/accel-late"][1]
-    outcome = _in_fresh_process(
-        lambda: _sabotaged_batch("kill", target=target, cases=cases)
-    )
-    assert outcome["digests"] == [
-        GOLDEN_DIGESTS[(case, "reference")] for case in cases
-    ]
-    assert outcome["lost"] == 1
-    assert outcome["shared"] == len(cases) - 1
-
-
-def test_killed_carrier_gives_in_process_results():
-    _monitor("auto")
-    # The carrier dies after forking the 6 s GPS burst, before the 12 s
-    # barometer fault: the rest of the batch re-runs in-process.
-    outcome = _in_fresh_process(
-        lambda: _sabotaged_batch("kill-carrier", after_s=9.0)
-    )
+    # The golden flight raises at 18 s, after all three faulted
+    # scenarios forked (two of them may still be running): their
+    # results are kept, the golden run re-runs in-process.
+    acts = [(RuntimeError, EMPTY_SCENARIO, 18.0)]
+    outcome = _in_fresh_process(lambda: _sabotaged_batch(acts, concurrency=3))
     assert outcome["digests"] == PINNED_AUTO
-    assert outcome["lost"] == 1
-    assert outcome["shared"] == 1
+    assert outcome["lost"] == 0
+    assert outcome["shared"] == len(AUTO_CASES) - 1
+
+
+def test_interrupted_golden_flight_kills_its_children():
+    _monitor("auto")
+    # The barometer child stalls, so it is still running when the
+    # golden flight is interrupted at 18 s; it must be killed, not
+    # waited for.
+    acts = [
+        ("stall", CORPUS["auto/baro-12s"][1], 0.0),
+        (KeyboardInterrupt, EMPTY_SCENARIO, 18.0),
+    ]
+
+    def interrupted():
+        start = time.monotonic()
+        outcome = _sabotaged_batch(acts, concurrency=3)
+        return outcome, time.monotonic() - start
+
+    outcome, elapsed = _in_fresh_process(interrupted)
+    assert outcome["error"] == ("KeyboardInterrupt", "sabotaged flight")
+    assert elapsed < 30.0
